@@ -19,9 +19,8 @@ from .datum import (ConfigError, CoverDatum, DatumError, DeterminantError,
                     FormNotInvariant, GroupNotFinite, InertiaNotNormalized,
                     NotPrimePower, RamificationGcdError, RootsOfUnityError,
                     conjugated_config, validate)
-from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, hnf_snf,
-                     kernel_lattice, lattice_meet_join, preimage_mod,
-                     quotient_invariants)
+from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, kernel_lattice,
+                     lattice_meet_join, preimage_mod, quotient_invariants)
 from .residue import (ContainmentViolation, LevelGroup, NTorsionViolation,
                       NotStabilized, StabilizationPolicy, invariant_points,
                       iota_image, packet_group, packet_group_level)

@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 from . import oracle
 from .cohomology import ModuleError, TameModule, counting_checks, tame_h
-from .datum import DatumError, validate
+from .datum import DEFAULT_CLOSURE_CAP, DatumError, validate
 from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice,
                      quotient_invariants)
 from .residue import (ContainmentViolation, NTorsionViolation, NotStabilized,
@@ -47,7 +47,11 @@ def _group_factors(g: FinAbGroup) -> list[int]:
 
 
 def _load_config(path: str) -> Any:
-    text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     try:
         return json.loads(text)
     except json.JSONDecodeError as ex:
@@ -303,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_config_command(name, fn, **extra):
         p = sub.add_parser(name, parents=[common])
         p.add_argument("config", help="path to a JSON config, or - for stdin")
-        p.add_argument("--cap", type=int, default=10 ** 6,
+        p.add_argument("--cap", type=int, default=DEFAULT_CLOSURE_CAP,
                        help="group-closure cap")
         for flag, kw in extra.items():
             p.add_argument(flag, **kw)
@@ -316,8 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
         "packet-group", _cmd_packet_group,
         **{"--level": dict(type=int, default=None,
                            help="start level (default: group exponent)"),
-           "--max-level": dict(type=int, default=4096, dest="max_level"),
-           "--stable-repeats": dict(type=int, default=3, dest="stable_repeats")})
+           "--max-level": dict(type=int, default=StabilizationPolicy.max_level,
+                               dest="max_level"),
+           "--stable-repeats": dict(type=int, default=StabilizationPolicy.stable_repeats,
+                                    dest="stable_repeats")})
     coh = sub.add_parser("cohomology", parents=[common])
     coh.add_argument("config", help="module JSON: relations, sigma, phi, q, e")
     coh.add_argument("--n", type=int, default=None,
@@ -366,7 +372,8 @@ def main(argv: Optional[list[str]] = None) -> int:
                            for m, g in ex.trace]
         _emit(report, args.format)
         return EXIT_NOT_STABILIZED
-    except (ContainmentViolation, NTorsionViolation) as ex:
+    except (ContainmentViolation, NTorsionViolation, AssertionError,
+            oracle.NotASubgroup, oracle.AmbiguousOrderProfile) as ex:
         _emit(error_report(type(ex).__name__, str(ex)), args.format)
         return EXIT_INTERNAL
     except (DatumError, ModuleError, SymbolError, LatticeError,

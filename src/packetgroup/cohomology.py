@@ -12,13 +12,15 @@ sigma-invariants (unramified part) and the once-twisted sigma-coinvariants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .datum import CoverDatum
-from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, lattice_meet_join,
-                     preimage_lattice, preimage_mod, quotient_invariants,
-                     restrict_endomorphism, solve_columns, solve_vector, stack_rows)
+from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, fixed_points,
+                     lattice_meet_join, preimage_lattice, preimage_mod,
+                     quotient_invariants, restrict_endomorphism, solve_columns,
+                     solve_vector)
 from .sharp import y_sharp
 
 
@@ -58,37 +60,46 @@ def _columns_in(m: Mat, lattice: Sublattice) -> bool:
 
 
 @dataclass(frozen=True)
-class FrobModule:
-    """Finite abelian group Z^k/R with Frobenius endomorphism phi.
+class _FiniteModule:
+    """Finite abelian group Z^k/R with the endomorphisms named in ACTIONS.
 
     The relation lattice R must have full rank k (the group is finite),
-    phi must descend to the quotient and act invertibly there, and the
-    group order must be prime to q.  phi is stored reduced modulo the
-    group exponent, so equal actions have equal presentations.
+    each action must descend to the quotient and act invertibly there,
+    and the group order must be prime to the subclass's q.  Actions are
+    stored reduced modulo the group exponent, so equal actions have equal
+    presentations.
     """
 
+    ACTIONS: ClassVar[tuple[str, ...]] = ()
+
     relations: Sublattice
-    phi: Mat
-    q: int
 
     def __post_init__(self) -> None:
         r = self.relations
         if r.rank != r.ambient_rank:
             raise ModuleError("relation lattice must have full rank (finite group)")
         k = r.ambient_rank
-        if self.phi.rows != k or self.phi.cols != k:
-            raise ModuleError("phi shape differs from the presentation rank")
-        if self.q < 2:
-            raise ModuleError("q must be >= 2")
-        exponent = quotient_invariants(Sublattice.full(k), r).exponent if k else 1
-        object.__setattr__(self, "phi", _reduce_mat_mod(self.phi, exponent) if exponent > 1
-                           else Mat.zeros(k, k))
-        if not _columns_in(self.phi @ r.basis, r):
-            raise ModuleError("phi does not preserve the relation lattice")
+        for name in self.ACTIONS:
+            mat = getattr(self, name)
+            if mat.rows != k or mat.cols != k:
+                raise ModuleError(f"{name} shape differs from the presentation rank")
+        self._check_scalars()
+        for name in self.ACTIONS:
+            reduced = _reduce_mat_mod(getattr(self, name), self.exponent) \
+                if self.exponent > 1 else Mat.zeros(k, k)
+            object.__setattr__(self, name, reduced)
         if gcd(self.order, self.q) != 1:
             raise ModuleError("group order must be prime to q")
-        if preimage_lattice(self.phi, r) != r:
-            raise ModuleError("phi is not invertible on the module")
+        for name in self.ACTIONS:
+            mat = getattr(self, name)
+            if not _columns_in(mat @ r.basis, r):
+                raise ModuleError(f"{name} does not preserve the relation lattice")
+            if preimage_lattice(mat, r) != r:
+                raise ModuleError(f"{name} is not invertible on the module")
+
+    def _check_scalars(self) -> None:
+        if self.q < 2:
+            raise ModuleError("q must be >= 2")
 
     @property
     def ambient_rank(self) -> int:
@@ -99,7 +110,7 @@ class FrobModule:
         idx = self.relations.index_in_ambient()
         return idx if idx is not None else 0
 
-    @property
+    @cached_property
     def exponent(self) -> int:
         return self.group().exponent
 
@@ -108,12 +119,19 @@ class FrobModule:
             return FinAbGroup.trivial()
         return quotient_invariants(Sublattice.full(self.ambient_rank), self.relations)
 
+
+@dataclass(frozen=True)
+class FrobModule(_FiniteModule):
+    """Finite abelian group Z^k/R with Frobenius endomorphism phi."""
+
+    ACTIONS: ClassVar[tuple[str, ...]] = ("phi",)
+
+    phi: Mat
+    q: int
+
     def coker_lattice(self, endo: Mat) -> Sublattice:
         """Relations of the cokernel of the endomorphism on the module."""
-        k = self.ambient_rank
-        cols = [endo.col(j) for j in range(k)] + \
-               [self.relations.basis.col(j) for j in range(self.relations.rank)]
-        return Sublattice.from_columns(k, cols)
+        return self.relations.join(endo)
 
 
 @dataclass(frozen=True)
@@ -184,17 +202,9 @@ def exactness_failures(ses: ShortExactSequence) -> tuple[str, ...]:
         return tuple(problems)
     if preimage_lattice(f, b.relations) != a.relations:
         problems.append("injection has a kernel")
-    image_f = Sublattice.from_columns(
-        b.ambient_rank,
-        [f.col(j) for j in range(f.cols)]
-        + [b.relations.basis.col(j) for j in range(b.relations.rank)])
-    if image_f != preimage_lattice(g, c.relations):
+    if b.relations.join(f) != preimage_lattice(g, c.relations):
         problems.append("image of the injection differs from the kernel of the projection")
-    image_g = Sublattice.from_columns(
-        c.ambient_rank,
-        [g.col(j) for j in range(g.cols)]
-        + [c.relations.basis.col(j) for j in range(c.relations.rank)])
-    if image_g != Sublattice.full(c.ambient_rank):
+    if c.relations.join(g) != Sublattice.full(c.ambient_rank):
         problems.append("projection is not surjective")
     return tuple(problems)
 
@@ -251,17 +261,8 @@ def image_of_connecting(ses: ShortExactSequence) -> FinAbGroup:
     fixed = preimage_lattice(cc.phi - Mat.identity(cc.ambient_rank), cc.relations)
     values = [connecting(ses, fixed.basis.col(j)) for j in range(fixed.rank)]
     denom = _h1_relations(a)
-    span = Sublattice.from_columns(
-        a.ambient_rank,
-        [list(v) for v in values]
-        + [denom.basis.col(j) for j in range(denom.rank)])
+    span = denom.join(Mat.from_columns(values, rows=a.ambient_rank))
     return quotient_invariants(span, denom)
-
-
-def _inertia_fixed_lattice(gens: Sequence[Mat], rank: int, modulus: int) -> Sublattice:
-    ident = Mat.identity(rank)
-    stacked = stack_rows([g - ident for g in gens], cols=rank)
-    return preimage_mod(stacked, modulus)
 
 
 def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
@@ -289,7 +290,7 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
     s = sharp_lat.basis
 
     # right term: inertia-fixed points of (Z/N)^r with twisted Frobenius
-    fixed_c = _inertia_fixed_lattice(list(d.inertia_gens), r, n_mod)
+    fixed_c = fixed_points(d.inertia_gens, r, n_mod)
     c_basis = fixed_c.basis
     rel_c = preimage_lattice(c_basis, Sublattice.scaled(r, n_mod))
     frob_c = solve_columns(c_basis, d.frobenius @ c_basis)
@@ -302,7 +303,7 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
     sharp_gens = [restrict_endomorphism(g, sharp_lat) for g in d.inertia_gens]
     sharp_frob = restrict_endomorphism(d.frobenius, sharp_lat)
     isogeny_pre = preimage_lattice(s, Sublattice.scaled(r, d.n))
-    fixed_b = _inertia_fixed_lattice(sharp_gens, r, big_mod)
+    fixed_b = fixed_points(sharp_gens, r, big_mod)
     lat_b, _, _ = lattice_meet_join(isogeny_pre, fixed_b)
     w = lat_b.basis
     rel_b = preimage_lattice(w, Sublattice.scaled(r, big_mod))
@@ -333,7 +334,7 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
 
 
 @dataclass(frozen=True)
-class TameModule:
+class TameModule(_FiniteModule):
     """Finite module with tame inertia sigma and Frobenius phi.
 
     sigma**e must be the identity on the module, the tame relation
@@ -341,63 +342,30 @@ class TameModule:
     (tameness), and the group order must be prime to q.
     """
 
-    relations: Sublattice
+    ACTIONS: ClassVar[tuple[str, ...]] = ("sigma", "phi")
+
     sigma: Mat
     phi: Mat
     e: int
     q: int
 
     def __post_init__(self) -> None:
-        r = self.relations
-        if r.rank != r.ambient_rank:
-            raise ModuleError("relation lattice must have full rank (finite group)")
-        k = r.ambient_rank
-        for name, mat in (("sigma", self.sigma), ("phi", self.phi)):
-            if mat.rows != k or mat.cols != k:
-                raise ModuleError(f"{name} shape differs from the presentation rank")
-        if self.e < 1:
-            raise ModuleError("e must be >= 1")
-        if self.q < 2:
-            raise ModuleError("q must be >= 2")
-        if gcd(self.e, self.q) != 1:
-            raise ModuleError("e must be prime to q (tameness)")
-        exponent = quotient_invariants(Sublattice.full(k), r).exponent if k else 1
-        reduce = (lambda mt: _reduce_mat_mod(mt, exponent)) if exponent > 1 \
-            else (lambda mt: Mat.zeros(k, k))
-        object.__setattr__(self, "sigma", reduce(self.sigma))
-        object.__setattr__(self, "phi", reduce(self.phi))
-        if gcd(self.order, self.q) != 1:
-            raise ModuleError("group order must be prime to q")
-        for name, mat in (("sigma", self.sigma), ("phi", self.phi)):
-            if not _columns_in(mat @ r.basis, r):
-                raise ModuleError(f"{name} does not preserve the relation lattice")
-            if preimage_lattice(mat, r) != r:
-                raise ModuleError(f"{name} is not invertible on the module")
+        super().__post_init__()
+        exponent, r = self.exponent, self.relations
         if exponent > 1:
             sigma_e = _mat_pow_mod(self.sigma, self.e, exponent)
-            if not _columns_in(sigma_e - Mat.identity(k), r):
+            if not _columns_in(sigma_e - Mat.identity(self.ambient_rank), r):
                 raise ModuleError("sigma**e is not the identity on the module")
             sigma_q = _mat_pow_mod(self.sigma, self.q, exponent)
             if not _columns_in(self.phi @ self.sigma - sigma_q @ self.phi, r):
                 raise ModuleError("tame relation phi sigma = sigma**q phi fails")
 
-    @property
-    def ambient_rank(self) -> int:
-        return self.relations.ambient_rank
-
-    @property
-    def order(self) -> int:
-        idx = self.relations.index_in_ambient()
-        return idx if idx is not None else 0
-
-    @property
-    def exponent(self) -> int:
-        return self.group().exponent
-
-    def group(self) -> FinAbGroup:
-        if self.ambient_rank == 0:
-            return FinAbGroup.trivial()
-        return quotient_invariants(Sublattice.full(self.ambient_rank), self.relations)
+    def _check_scalars(self) -> None:
+        if self.e < 1:
+            raise ModuleError("e must be >= 1")
+        super()._check_scalars()
+        if gcd(self.e, self.q) != 1:
+            raise ModuleError("e must be prime to q (tameness)")
 
 
 def unramified_part(m: TameModule) -> FrobModule:
@@ -415,15 +383,9 @@ def unramified_part(m: TameModule) -> FrobModule:
 def twisted_coinvariants(m: TameModule) -> FrobModule:
     """The sigma-coinvariants with Frobenius divided by q (one negative twist)."""
     k = m.ambient_rank
-    delta = m.sigma - Mat.identity(k)
-    rel = Sublattice.from_columns(
-        k, [delta.col(j) for j in range(k)]
-        + [m.relations.basis.col(j) for j in range(m.relations.rank)])
-    exponent = quotient_invariants(Sublattice.full(k), rel).exponent if k else 1
-    if exponent == 1:
-        return FrobModule(rel, Mat.zeros(k, k), m.q)
-    mult = pow(m.q, -1, exponent)
-    return FrobModule(rel, m.phi.scale(mult), m.q)
+    rel = m.relations.join(m.sigma - Mat.identity(k))
+    # the coinvariants' exponent divides m's, and FrobModule reduces phi mod it
+    return FrobModule(rel, m.phi.scale(pow(m.q, -1, m.exponent)), m.q)
 
 
 def tame_h(m: TameModule) -> TameCohomology:

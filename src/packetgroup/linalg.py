@@ -12,6 +12,7 @@ bases are identical, so lattice equality is plain value equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd, prod
 from typing import Iterable, Optional, Sequence
 
@@ -198,19 +199,6 @@ class Mat:
                                for i in range(self.rows)) + "]"
 
 
-def stack_rows(mats: Sequence[Mat], cols: Optional[int] = None) -> Mat:
-    """Vertical stack; `cols` disambiguates the empty stack."""
-    mats = [m for m in mats]
-    if not mats:
-        if cols is None:
-            raise LatticeError("empty stack needs explicit column count")
-        return Mat.zeros(0, cols)
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.vstack(m)
-    return out
-
-
 def _row_hnf(rows: Iterable[Sequence[int]]) -> list[list[int]]:
     """Row Hermite normal form of the row span.
 
@@ -364,11 +352,6 @@ def smith(m: Mat) -> SmithDecomposition:
     return dec
 
 
-def hnf_snf(m: Mat) -> tuple[Mat, SmithDecomposition]:
-    """Canonical column HNF of the span of `m` together with its SNF."""
-    return column_hnf(m), smith(m)
-
-
 def solve_columns(b: Mat, target: Mat) -> Optional[Mat]:
     """Integral X with b @ X == target, or None if no integral solution."""
     if b.rows != target.rows:
@@ -502,6 +485,12 @@ class Sublattice:
             raise AmbientMismatch("matrix width differs from ambient rank")
         return Sublattice.from_matrix(a @ self.basis)
 
+    def join(self, m: Mat) -> "Sublattice":
+        """The span of the columns of `m` together with this lattice."""
+        if m.rows != self.ambient_rank:
+            raise AmbientMismatch("matrix height differs from ambient rank")
+        return Sublattice.from_columns(self.ambient_rank, m.columns() + self.basis.columns())
+
     def index_in_ambient(self) -> Optional[int]:
         """|Z^r / L| when L is full rank, else None."""
         if self.rank != self.ambient_rank:
@@ -554,13 +543,20 @@ def preimage_mod(m: Mat, n: int) -> Sublattice:
     return preimage_lattice(m, Sublattice.scaled(m.rows, n))
 
 
+def fixed_points(mats: Iterable[Mat], k: int, n: int) -> Sublattice:
+    """{x in Z^k : a @ x == x mod n for every a in mats}; n = 0 means exactly."""
+    ident = Mat.identity(k)
+    conditions = [a - ident for a in mats]
+    stacked = reduce(Mat.vstack, conditions) if conditions else Mat.zeros(0, k)
+    return kernel_lattice(stacked) if n == 0 else preimage_mod(stacked, n)
+
+
 def lattice_meet_join(a: Sublattice, b: Sublattice) -> tuple[Sublattice, Sublattice, Optional[int]]:
     """(a intersect b, a + b, index of the meet in the join or None)."""
     if a.ambient_rank != b.ambient_rank:
         raise AmbientMismatch("ambient ranks differ")
     r = a.ambient_rank
-    join = Sublattice.from_columns(
-        r, [a.basis.col(j) for j in range(a.rank)] + [b.basis.col(j) for j in range(b.rank)])
+    join = b.join(a.basis)
     if a.rank == 0 or b.rank == 0:
         meet = Sublattice.zero(r)
     else:
@@ -636,8 +632,3 @@ def restrict_endomorphism(a: Mat, lattice: Sublattice) -> Mat:
     if sol is None:
         raise LatticeError("lattice is not stable under the endomorphism")
     return sol
-
-
-def is_stable(a: Mat, lattice: Sublattice) -> bool:
-    """Whether a @ L = L (equality of canonical lattices)."""
-    return lattice.image_under(a) == lattice

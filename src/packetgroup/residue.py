@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .datum import CoverDatum
-from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, preimage_mod,
-                     quotient_invariants, restrict_endomorphism, stack_rows)
+from .linalg import (FinAbGroup, LatticeError, Sublattice, fixed_points,
+                     quotient_invariants, restrict_endomorphism)
 from .sharp import y_gamma_sharp, y_sharp
 
 
@@ -95,14 +95,9 @@ def invariant_points(d: CoverDatum, sub: Sublattice, m: int) -> LevelGroup:
     _check_stable(d, sub)
     n_mod = level_modulus(d, m)
     k = sub.rank
-    conditions = []
-    ident = Mat.identity(k)
-    for g in d.inertia_gens:
-        conditions.append(restrict_endomorphism(g, sub) - ident)
-    frob = restrict_endomorphism(d.frobenius, sub)
-    conditions.append(frob.scale(d.q) - ident)
-    stacked = stack_rows(conditions, cols=k)
-    lattice = preimage_mod(stacked, n_mod)
+    actions = [restrict_endomorphism(g, sub) for g in d.inertia_gens]
+    actions.append(restrict_endomorphism(d.frobenius, sub).scale(d.q))
+    lattice = fixed_points(actions, k, n_mod)
     return LevelGroup(level=m, modulus=n_mod, ambient_rank=k, lattice=lattice)
 
 
@@ -110,11 +105,7 @@ def iota_image(d: CoverDatum, sub: Sublattice, m: int) -> LevelGroup:
     """Image of the invariant points in the ambient (Z/N)^r."""
     inv = invariant_points(d, sub, m)
     n_mod = inv.modulus
-    pushed = [sub.basis.apply(inv.lattice.basis.col(j))
-              for j in range(inv.lattice.rank)]
-    cols = pushed + [[n_mod if i == j else 0 for i in range(d.rank)]
-                     for j in range(d.rank)]
-    lattice = Sublattice.from_columns(d.rank, cols)
+    lattice = Sublattice.scaled(d.rank, n_mod).join(sub.basis @ inv.lattice.basis)
     return LevelGroup(level=m, modulus=n_mod, ambient_rank=d.rank, lattice=lattice)
 
 

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 from .datum import CoverDatum
 from .linalg import (FinAbGroup, LatticeError, Mat, NotASublattice, Sublattice,
-                     kernel_lattice, preimage_mod, quotient_invariants, stack_rows)
+                     fixed_points, preimage_mod, quotient_invariants)
 
 
 def fixed_lattice(d: CoverDatum) -> Sublattice:
     """Vectors fixed by every generator (inertia generators and Frobenius)."""
-    ident = Mat.identity(d.rank)
-    stacked = stack_rows([a - ident for a in d.generators], cols=d.rank)
-    return kernel_lattice(stacked)
+    return fixed_points(d.generators, d.rank, 0)
 
 
 def sharp(b: Mat, n: int, target: Sublattice) -> Sublattice:
@@ -52,13 +50,12 @@ def radical_of_induced_form(d: CoverDatum, sub1: Sublattice,
     The pairing descends to the quotients iff sub1 annihilates the full
     second lattice and sub2 the full first one; that containment is the
     checked precondition.  The left kernel is then the annihilator of the
-    full lattice modulo sub1.
+    full lattice modulo sub1.  The datum's form is symmetric, so the left
+    and right annihilators of the full lattice are both y_sharp.
     """
-    b, n, r = d.bilinear, d.n, d.rank
-    left_ann = sharp(b, n, Sublattice.full(r))
-    right_ann = sharp(b.transpose(), n, Sublattice.full(r))
-    if not left_ann.contains(sub1):
+    ann = y_sharp(d)
+    if not ann.contains(sub1):
         raise NotASublattice("first lattice does not annihilate the full second factor")
-    if not right_ann.contains(sub2):
+    if not ann.contains(sub2):
         raise NotASublattice("second lattice is not annihilated by the full first factor")
-    return quotient_invariants(left_ann, sub1)
+    return quotient_invariants(ann, sub1)

@@ -20,6 +20,7 @@ from typing import Sequence
 
 from .datum import NotPrimePower, prime_power_decomposition
 from .linalg import LatticeError, Mat, Sublattice, preimage_mod
+from .sharp import sharp
 
 
 class SymbolError(ValueError):
@@ -130,15 +131,13 @@ def split_center_image(f: TameField, b: Mat) -> SplitCenterReport:
     gram = Mat.from_rows(gram_rows, cols=2 * r)
     radical = preimage_mod(gram.transpose(), n)
 
-    sharp_lat = preimage_mod(Sublattice.full(r).basis.transpose() @ b.transpose(), n)
+    sharp_lat = sharp(b, n, Sublattice.full(r))
     cols = []
     for j in range(sharp_lat.rank):
         y = sharp_lat.basis.col(j)
         cols.append(list(y) + [0] * r)
         cols.append([0] * r + list(y))
-    for j in range(2 * r):
-        cols.append([n if i == j else 0 for i in range(2 * r)])
-    sharp_image = Sublattice.from_columns(2 * r, cols)
+    sharp_image = Sublattice.scaled(2 * r, n).join(Mat.from_columns(cols, rows=2 * r))
     return SplitCenterReport(modulus=n, rank=r, gram=gram,
                              radical=radical, sharp_image=sharp_image)
 

@@ -1,10 +1,13 @@
+import gc
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
-from packetgroup.cli import main
+from packetgroup import oracle
+from packetgroup.cli import _load_config, main
 
 from conftest import CONFIG_DIR
 
@@ -131,6 +134,36 @@ def test_oracle_mismatch_exit_code(capsys, monkeypatch):
     report = json.loads(out)
     assert report["status"] == "mismatch"
     assert report["results"]["all_agree"] is False
+
+
+@pytest.mark.parametrize("error, exit_code", [
+    (AssertionError("smith decomposition failed to verify"), 4),
+    (oracle.NotASubgroup("generators do not close"), 4),
+    (oracle.AmbiguousOrderProfile("order profiles coincide"), 4),
+    (oracle.CapExceeded("enumeration cap exceeded"), 2),
+], ids=["AssertionError", "NotASubgroup", "AmbiguousOrderProfile", "CapExceeded"])
+def test_internal_error_exit_codes(capsys, monkeypatch, error, exit_code):
+    # self-check and oracle failures are reported, never a bare traceback
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(oracle, "brute_invariant_points", failing)
+    code, out = run_cli(capsys, "oracle-check", str(CONFIG_DIR / "swap_q3_n2.json"),
+                        "--level", "2")
+    assert code == exit_code
+    report = json.loads(out)
+    assert report["status"] == "error"
+    assert report["error"] == {"kind": type(error).__name__, "message": str(error)}
+
+
+def test_load_config_closes_file(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text("{}")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _load_config(str(path)) == {}
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_missing_file(capsys):

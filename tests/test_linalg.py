@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from packetgroup.linalg import (AmbientMismatch, FinAbGroup, InfiniteQuotient,
                                 LatticeError, Mat, NotASublattice, Sublattice,
-                                column_hnf, hnf_snf, kernel_lattice,
+                                column_hnf, fixed_points, kernel_lattice,
                                 lattice_meet_join, preimage_lattice, preimage_mod,
                                 quotient_invariants, restrict_endomorphism, smith,
                                 solve_columns, solve_vector, xgcd)
@@ -31,16 +31,21 @@ def unimodulars(draw, dim):
     return random_unimodular(random.Random(seed), dim, ops=8)
 
 
+def as_fixed_point_actions(m):
+    """Square matrices a whose stacked a - I is m padded with zero rows."""
+    k = m.cols
+    rows = m.to_rows() + [[0] * k] * (-m.rows % k)
+    return [Mat.identity(k) + Mat.from_rows(rows[i:i + k]) for i in range(0, len(rows), k)]
+
+
 def test_hnf_snf_examples():
     m = Mat.from_rows([[2, 0], [0, 3]])
-    h, dec = hnf_snf(m)
-    assert h.columns() == [(2, 0), (0, 3)]
-    assert dec.d == (1, 6)
+    assert column_hnf(m).columns() == [(2, 0), (0, 3)]
+    assert smith(m).d == (1, 6)
 
     z = Mat.zeros(2, 2)
-    h, dec = hnf_snf(z)
-    assert h.cols == 0
-    assert dec.d == ()
+    assert column_hnf(z).cols == 0
+    assert smith(z).d == ()
 
 
 def test_kernel_examples():
@@ -72,6 +77,8 @@ def test_meet_join_examples():
 
     with pytest.raises(AmbientMismatch):
         lattice_meet_join(a, Sublattice.full(3))
+    with pytest.raises(AmbientMismatch):
+        a.join(Mat.identity(3))
 
 
 def test_quotient_examples():
@@ -138,6 +145,7 @@ def test_kernel_is_exact_complement(m):
     for j in range(ker.rank):
         assert all(v == 0 for v in m.apply(ker.basis.col(j)))
     assert ker.rank + len(smith(m).d) == m.cols
+    assert fixed_points(as_fixed_point_actions(m), m.cols, 0) == ker
 
 
 @given(matrices(max_dim=3), st.integers(1, 12))
@@ -148,6 +156,7 @@ def test_preimage_mod_membership(m, n):
     for j in range(lat.rank):
         assert all(v % n == 0 for v in m.apply(lat.basis.col(j)))
     assert lat.rank == m.cols
+    assert fixed_points(as_fixed_point_actions(m), m.cols, n) == lat
 
 
 @given(st.data())
@@ -227,5 +236,9 @@ def test_meet_join_containments(data):
     meet, join, idx = lattice_meet_join(a, b)
     assert a.contains(meet) and b.contains(meet)
     assert join.contains(a) and join.contains(b)
+    m = Mat.from_columns(cols_b, rows=r)
+    span = a.join(m)
+    assert span == Sublattice.from_columns(r, cols_b + a.basis.columns()) == join
+    assert span.contains(a) and all(span.contains_vector(c) for c in cols_b)
     if idx is not None:
         assert idx >= 1
