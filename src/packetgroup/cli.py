@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 from . import oracle
 from .cohomology import ModuleError, TameModule, counting_checks, tame_h
-from .datum import DEFAULT_CLOSURE_CAP, DatumError, validate
+from .datum import DEFAULT_CLOSURE_CAP, DatumError, parse_matrix, validate
 from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice,
                      quotient_invariants)
 from .residue import (ContainmentViolation, NTorsionViolation, NotStabilized,
@@ -136,7 +136,7 @@ def _cmd_packet_group(args) -> dict:
     return report
 
 
-def _parse_module(config: Any) -> tuple[TameModule, dict]:
+def _parse_module(config: Any) -> TameModule:
     if not isinstance(config, dict):
         raise ModuleError("module description must be a JSON object")
     for key in ("relations", "phi", "q"):
@@ -147,21 +147,22 @@ def _parse_module(config: Any) -> tuple[TameModule, dict]:
             or not all(isinstance(r, list) for r in rel_rows)):
         raise ModuleError("relations must be a non-empty list of integer vectors")
     rank = len(rel_rows[0])
-    relations = Sublattice.from_columns(rank, rel_rows)
-    phi = Mat.from_rows(config["phi"], cols=rank)
+    relations = Sublattice.from_columns(
+        rank, parse_matrix(rel_rows, "relations", rank).to_rows())
+    phi = parse_matrix(config["phi"], "phi", rank, rank)
     sigma_rows = config.get("sigma")
-    sigma = Mat.from_rows(sigma_rows, cols=rank) if sigma_rows is not None \
+    sigma = parse_matrix(sigma_rows, "sigma", rank, rank) if sigma_rows is not None \
         else Mat.identity(rank)
     e = config.get("e", 1)
     q = config["q"]
-    if not isinstance(q, int) or not isinstance(e, int):
+    if not all(isinstance(x, int) and not isinstance(x, bool) for x in (q, e)):
         raise ModuleError("q and e must be integers")
-    return TameModule(relations, sigma, phi, e, q), config
+    return TameModule(relations, sigma, phi, e, q)
 
 
 def _cmd_cohomology(args) -> dict:
     config = _load_config(args.config)
-    module, _ = _parse_module(config)
+    module = _parse_module(config)
     coh = tame_h(module)
     unr_h0, unr_h1 = coh.h0_unr, coh.h1_unr
     report = _base_report("cohomology", config, args.seed)
@@ -219,9 +220,9 @@ def _cmd_commutator(args) -> dict:
         t_pairs = json.loads(args.t)
     except json.JSONDecodeError as ex:
         raise SymbolError(f"matrix and element lists must be JSON: {ex}") from ex
-    b = Mat.from_rows(b_rows)
-    s = [f.element(v, u) for v, u in s_pairs]
-    t = [f.element(v, u) for v, u in t_pairs]
+    b = parse_matrix(b_rows, "form")
+    s = [f.element(v, u) for v, u in parse_matrix(s_pairs, "s", 2).to_rows()]
+    t = [f.element(v, u) for v, u in parse_matrix(t_pairs, "t", 2).to_rows()]
     value = commutator(f, b, s, t)
     payload = {"q": args.q, "n": args.n, "B": b_rows, "s": s_pairs, "t": t_pairs}
     report = _base_report("commutator", payload, args.seed)
@@ -244,6 +245,7 @@ def _cmd_oracle_check(args) -> dict:
 
     lattices = {"full": Sublattice.full(d.rank),
                 "sharp": y_sharp(d), "gamma_sharp": y_gamma_sharp(d)}
+    brute_imgs = {}
     for name in sorted(lattices):
         sub = lattices[name]
         lg = invariant_points(d, sub, m)
@@ -258,15 +260,13 @@ def _cmd_oracle_check(args) -> dict:
         main_img = oracle.subgroup_from_generators(n_mod, d.rank, img_gens,
                                                    cap=args.oracle_cap)
         brute_img = oracle.brute_iota_image(d, sub, m, cap=args.oracle_cap)
+        brute_imgs[name] = brute_img
         record(f"iota_image[{name}]", main_img == brute_img,
                len(main_img), len(brute_img))
 
     level_group = packet_group_level(d, m)
     brute_group = oracle.brute_quotient(
-        n_mod,
-        oracle.brute_iota_image(d, lattices["gamma_sharp"], m, cap=args.oracle_cap),
-        oracle.brute_iota_image(d, lattices["sharp"], m, cap=args.oracle_cap),
-        cap=args.oracle_cap)
+        n_mod, brute_imgs["gamma_sharp"], brute_imgs["sharp"], cap=args.oracle_cap)
     record("packet_group_level", level_group == brute_group,
            _group_factors(level_group), _group_factors(brute_group))
 

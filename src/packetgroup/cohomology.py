@@ -129,10 +129,6 @@ class FrobModule(_FiniteModule):
     phi: Mat
     q: int
 
-    def coker_lattice(self, endo: Mat) -> Sublattice:
-        """Relations of the cokernel of the endomorphism on the module."""
-        return self.relations.join(endo)
-
 
 @dataclass(frozen=True)
 class TameCohomology:
@@ -151,7 +147,7 @@ def h0_h1(m: FrobModule) -> tuple[FinAbGroup, FinAbGroup]:
     delta = m.phi - Mat.identity(k)
     kernel = preimage_lattice(delta, m.relations)
     h0 = quotient_invariants(kernel, m.relations)
-    h1 = quotient_invariants(Sublattice.full(k), m.coker_lattice(delta)) if k \
+    h1 = quotient_invariants(Sublattice.full(k), m.relations.join(delta)) if k \
         else FinAbGroup.trivial()
     if h0.order != h1.order:
         raise ModuleError("kernel and cokernel of phi-1 differ in size")
@@ -210,7 +206,7 @@ def exactness_failures(ses: ShortExactSequence) -> tuple[str, ...]:
 
 
 def _h1_relations(m: FrobModule) -> Sublattice:
-    return m.coker_lattice(m.phi - Mat.identity(m.ambient_rank))
+    return m.relations.join(m.phi - Mat.identity(m.ambient_rank))
 
 
 def h1_class(m: FrobModule, vec: Sequence[int]) -> tuple[int, ...]:
@@ -265,6 +261,13 @@ def image_of_connecting(ses: ShortExactSequence) -> FinAbGroup:
     return quotient_invariants(span, denom)
 
 
+def _submodule(lattice: Sublattice, relations: Sublattice, phi: Mat, q: int,
+               mult: int) -> FrobModule:
+    """Submodule lattice/(lattice meet relations); phi restricted, then times mult."""
+    return FrobModule(preimage_lattice(lattice.basis, relations),
+                      restrict_endomorphism(phi, lattice).scale(mult), q)
+
+
 def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
     """The finite-level sequence induced by the sharp lattice inclusion.
 
@@ -291,12 +294,7 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
 
     # right term: inertia-fixed points of (Z/N)^r with twisted Frobenius
     fixed_c = fixed_points(d.inertia_gens, r, n_mod)
-    c_basis = fixed_c.basis
-    rel_c = preimage_lattice(c_basis, Sublattice.scaled(r, n_mod))
-    frob_c = solve_columns(c_basis, d.frobenius @ c_basis)
-    if frob_c is None:
-        raise LatticeError("inertia-fixed lattice is not Frobenius stable")
-    mod_c = FrobModule(rel_c, frob_c.scale(d.q), d.q)
+    mod_c = _submodule(fixed_c, Sublattice.scaled(r, n_mod), d.frobenius, d.q, d.q)
 
     # middle term: inside the n*N-torsion of the sharp lattice, the
     # preimage of the level-m part, restricted to inertia-fixed points
@@ -306,11 +304,7 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
     fixed_b = fixed_points(sharp_gens, r, big_mod)
     lat_b, _, _ = lattice_meet_join(isogeny_pre, fixed_b)
     w = lat_b.basis
-    rel_b = preimage_lattice(w, Sublattice.scaled(r, big_mod))
-    frob_b = solve_columns(w, sharp_frob @ w)
-    if frob_b is None:
-        raise LatticeError("isogeny preimage is not Frobenius stable")
-    mod_b = FrobModule(rel_b, frob_b.scale(d.q), d.q)
+    mod_b = _submodule(lat_b, Sublattice.scaled(r, big_mod), sharp_frob, d.q, d.q)
 
     # projection: divide the isogeny by n, then express in the fixed basis
     pushed = s @ w
@@ -318,19 +312,14 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
         raise LatticeError("isogeny image is not divisible by n")
     divided = Mat(pushed.rows, pushed.cols,
                   tuple(x // d.n for x in pushed.entries))
-    proj = solve_columns(c_basis, divided)
+    proj = solve_columns(fixed_c.basis, divided)
     if proj is None:
         raise LatticeError("projected points are not inertia fixed")
 
     # left term: kernel of the projection, with the restricted Frobenius
-    ker = preimage_lattice(proj, rel_c)
-    e_basis = ker.basis
-    rel_a = preimage_lattice(e_basis, rel_b)
-    frob_a = solve_columns(e_basis, mod_b.phi @ e_basis)
-    if frob_a is None:
-        raise LatticeError("kernel is not Frobenius stable")
-    mod_a = FrobModule(rel_a, frob_a, d.q)
-    return ShortExactSequence(mod_a, mod_b, mod_c, inject=e_basis, project=proj)
+    ker = preimage_lattice(proj, mod_c.relations)
+    mod_a = _submodule(ker, mod_b.relations, mod_b.phi, d.q, 1)
+    return ShortExactSequence(mod_a, mod_b, mod_c, inject=ker.basis, project=proj)
 
 
 @dataclass(frozen=True)
@@ -370,14 +359,8 @@ class TameModule(_FiniteModule):
 
 def unramified_part(m: TameModule) -> FrobModule:
     """The sigma-fixed submodule with the restricted Frobenius."""
-    k = m.ambient_rank
-    fixed = preimage_lattice(m.sigma - Mat.identity(k), m.relations)
-    basis = fixed.basis
-    rel = preimage_lattice(basis, m.relations)
-    phi = solve_columns(basis, m.phi @ basis)
-    if phi is None:
-        raise ModuleError("sigma-fixed submodule is not phi stable")
-    return FrobModule(rel, phi, m.q)
+    fixed = preimage_lattice(m.sigma - Mat.identity(m.ambient_rank), m.relations)
+    return _submodule(fixed, m.relations, m.phi, m.q, 1)
 
 
 def twisted_coinvariants(m: TameModule) -> FrobModule:
@@ -428,10 +411,8 @@ def dual_module(m: TameModule, n: int) -> TameModule:
     rel = preimage_lattice(w, Sublattice.scaled(k, n)) if k else m.relations
     sigma_inv = _inverse_mod_relations(m.sigma, m.relations)
     phi_inv = _inverse_mod_relations(m.phi, m.relations)
-    sigma_dual = solve_columns(w, sigma_inv.transpose() @ w)
-    phi_dual = solve_columns(w, (phi_inv.transpose() @ w).scale(m.q))
-    if sigma_dual is None or phi_dual is None:
-        raise ModuleError("contragredient action does not preserve the dual")
+    sigma_dual = restrict_endomorphism(sigma_inv.transpose(), admissible)
+    phi_dual = restrict_endomorphism(phi_inv.transpose(), admissible).scale(m.q)
     dual = TameModule(rel, sigma_dual, phi_dual, m.e, m.q)
     if dual.order != m.order:
         raise ModuleError("dual has a different order than the module")

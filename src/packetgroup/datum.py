@@ -105,21 +105,37 @@ class CoverDatum:
         return len(self.group_elements)
 
 
-def _parse_matrix(obj: object, rank: int, what: str) -> Mat:
-    if not isinstance(obj, list) or len(obj) != rank:
-        raise ConfigError(f"{what} must be a {rank}x{rank} row-major list of rows")
+def parse_matrix(obj: object, what: str, cols: Optional[int] = None,
+                 rows: Optional[int] = None) -> Mat:
+    """A row-major integer matrix; a size of None admits any (equal) length.
+
+    Entries must be ints: bools and floats are rejected, not converted.
+    """
+    shape = f"{'k' if rows is None else rows}x{'l' if cols is None else cols}"
+    message = f"{what} must be a {shape} row-major list of rows"
+    if not isinstance(obj, list) or rows not in (None, len(obj)):
+        raise ConfigError(message)
     for row in obj:
-        if not isinstance(row, list) or len(row) != rank:
-            raise ConfigError(f"{what} must be a {rank}x{rank} row-major list of rows")
+        if not isinstance(row, list):
+            raise ConfigError(message)
+        cols = len(row) if cols is None else cols
+        if len(row) != cols:
+            raise ConfigError(message)
         for x in row:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ConfigError(f"{what} entries must be integers")
-    return Mat.from_rows(obj, cols=rank)
+    return Mat.from_rows(obj, cols=cols)
 
 
 def _close_group(gens: Sequence[Mat], rank: int, cap: int) -> tuple[Mat, ...]:
-    """Multiplicative closure of the generators; raises GroupNotFinite at cap."""
+    """Multiplicative closure of the generators; raises GroupNotFinite at cap.
+
+    The kernel of GL_r(Z) -> GL_r(Z/3) is torsion free (Minkowski), so a
+    finite group embeds mod 3: two distinct elements with the same
+    reduction prove the group infinite.
+    """
     elems = {Mat.identity(rank)}
+    residues = {m.entries for m in elems}  # the identity is reduced mod 3
     frontier = sorted(elems, key=lambda m: m.entries)
     gens = [g for g in gens]
     while frontier:
@@ -128,6 +144,11 @@ def _close_group(gens: Sequence[Mat], rank: int, cap: int) -> tuple[Mat, ...]:
             for g in gens:
                 y = x @ g
                 if y not in elems:
+                    residue = tuple(v % 3 for v in y.entries)
+                    if residue in residues:
+                        raise GroupNotFinite(
+                            "group is infinite: two elements agree mod 3")
+                    residues.add(residue)
                     elems.add(y)
                     fresh.append(y)
                     if len(elems) > cap:
@@ -192,10 +213,10 @@ def validate(config: Mapping[str, object], *,
     raw_gens = config["inertia_gens"]
     if not isinstance(raw_gens, list):
         raise ConfigError("inertia_gens must be a list of matrices")
-    inertia_gens = tuple(_parse_matrix(g, rank, f"inertia_gens[{i}]")
+    inertia_gens = tuple(parse_matrix(g, f"inertia_gens[{i}]", rank, rank)
                          for i, g in enumerate(raw_gens))
-    frobenius = _parse_matrix(config["frobenius"], rank, "frobenius")
-    q_upper = _parse_matrix(config["Q_upper"], rank, "Q_upper")
+    frobenius = parse_matrix(config["frobenius"], "frobenius", rank, rank)
+    q_upper = parse_matrix(config["Q_upper"], "Q_upper", rank, rank)
     for i in range(rank):
         for j in range(i):
             if q_upper[i, j]:

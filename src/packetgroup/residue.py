@@ -79,12 +79,6 @@ def level_modulus(d: CoverDatum, m: int) -> int:
     return d.q ** m - 1
 
 
-def _check_stable(d: CoverDatum, sub: Sublattice) -> None:
-    for a in d.generators:
-        if sub.image_under(a) != sub:
-            raise LatticeError("sublattice is not stable under the group action")
-
-
 def invariant_points(d: CoverDatum, sub: Sublattice, m: int) -> LevelGroup:
     """Fixed points of the twisted action on sub x mu_N, in sub's own basis.
 
@@ -92,11 +86,10 @@ def invariant_points(d: CoverDatum, sub: Sublattice, m: int) -> LevelGroup:
     the Frobenius restriction is multiplied by q, encoding x -> x**q on
     the roots of unity.
     """
-    _check_stable(d, sub)
-    n_mod = level_modulus(d, m)
-    k = sub.rank
     actions = [restrict_endomorphism(g, sub) for g in d.inertia_gens]
     actions.append(restrict_endomorphism(d.frobenius, sub).scale(d.q))
+    n_mod = level_modulus(d, m)
+    k = sub.rank
     lattice = fixed_points(actions, k, n_mod)
     return LevelGroup(level=m, modulus=n_mod, ambient_rank=k, lattice=lattice)
 

@@ -60,6 +60,7 @@ def test_criterion_02_oracle_equivalence_bundled(bundled_configs):
         sharp_lat, gamma_lat = y_sharp(d), y_gamma_sharp(d)
         for m in levels:
             n_mod = d.q ** m - 1
+            brute_imgs = []
             for sub in (Sublattice.full(d.rank), sharp_lat, gamma_lat):
                 from packetgroup.residue import invariant_points, iota_image
                 lg = invariant_points(d, sub, m)
@@ -69,13 +70,12 @@ def test_criterion_02_oracle_equivalence_bundled(bundled_configs):
                 img = iota_image(d, sub, m)
                 img_gens = [img.lattice.basis.col(j)
                             for j in range(img.lattice.rank)]
+                brute_imgs.append(oracle.brute_iota_image(d, sub, m))
                 assert oracle.subgroup_from_generators(n_mod, d.rank, img_gens) == \
-                    oracle.brute_iota_image(d, sub, m), (name, m)
+                    brute_imgs[-1], (name, m)
             level_group = packet_group_level(d, m)
-            brute = oracle.brute_quotient(
-                n_mod,
-                oracle.brute_iota_image(d, gamma_lat, m),
-                oracle.brute_iota_image(d, sharp_lat, m))
+            # the brute quotient reuses the sharp and gamma-sharp images above
+            brute = oracle.brute_quotient(n_mod, brute_imgs[2], brute_imgs[1])
             assert level_group == brute, (name, m)
         # radical against brute force
         assert radical_of_induced_form(d, sharp_lat, sharp_lat).is_trivial

@@ -1,10 +1,15 @@
+import contextlib
 import gc
+import io
 import json
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packetgroup import oracle
 from packetgroup.cli import _load_config, main
@@ -91,6 +96,14 @@ def test_commutator_cli(capsys):
                         "--s", "[[1,0],[0,0]]", "--t", "[[0,0],[1,0]]")
     assert code == 0
     assert json.loads(out)["results"]["value"] == 1
+    # malformed arguments are reported, never a traceback or a float value
+    for form, s_pairs in (("5", "[[1,0],[0,0]]"), ("[[0,1],[0,0]]", "[1]"),
+                          ("[[0,1],[0,0]]", "[[1.5,0],[0,0]]"),
+                          ("[[true,1],[0,0]]", "[[1,0],[0,0]]")):
+        code, out = run_cli(capsys, "commutator", "--q", "3", "--n", "2",
+                            "--form", form, "--s", s_pairs, "--t", "[[0,0],[1,0]]")
+        assert code == 2, (form, s_pairs)
+        assert json.loads(out)["status"] == "error"
 
 
 def test_cohomology_cli(capsys, tmp_path):
@@ -104,12 +117,66 @@ def test_cohomology_cli(capsys, tmp_path):
     assert report["results"]["counting"]["ok"] is True
 
 
+BAD_MODULES = [
+    {"relations": [[4]], "phi": [[2]], "q": 3},
+    # wrong shapes and non-integer values: no traceback, no truncation
+    {"relations": [[3]], "phi": 5, "q": 7},
+    {"relations": [[3]], "sigma": [3], "phi": [[1]], "q": 7},
+    {"relations": [[1.5]], "phi": [[1]], "q": 7},
+    {"relations": [[3]], "phi": [[1.7]], "q": 7},
+    {"relations": [[3]], "phi": [[1]], "q": 7, "e": True},
+    {"relations": [[3]], "phi": [[1]], "q": True},
+    {"relations": [[3, 0], [0]], "phi": [[1, 0], [0, 1]], "q": 7},
+]
+
+
 def test_cohomology_bad_module(capsys, tmp_path):
-    module = {"relations": [[4]], "phi": [[2]], "q": 3}
     path = tmp_path / "module.json"
-    path.write_text(json.dumps(module))
-    code, out = run_cli(capsys, "cohomology", str(path))
-    assert code == 2
+    for module in BAD_MODULES:
+        path.write_text(json.dumps(module))
+        code, out = run_cli(capsys, "cohomology", str(path))
+        assert code == 2, module
+        assert json.loads(out)["status"] == "error"
+
+
+_scalars = (st.integers(-30, 30) | st.floats(-30, 30) | st.booleans()
+            | st.sampled_from(["x", "", None]))
+_rows = st.lists(_scalars, max_size=4)
+_values = (_scalars | _rows | st.lists(_rows, max_size=4)
+           | st.lists(_scalars | _rows, max_size=4))
+
+
+@st.composite
+def module_json(draw):
+    """Module presentations with k <= 3: well formed matrices or noise.
+
+    The required keys are always present; a missing one is a plain
+    ModuleError and would hide the values behind it.
+    """
+    k = draw(st.integers(0, 3))
+    square = st.lists(st.lists(st.integers(-30, 30), min_size=k, max_size=k),
+                      min_size=k, max_size=k)
+    module = {}
+    for key in ("relations", "phi", "sigma"):
+        if key != "sigma" or draw(st.booleans()):
+            module[key] = draw(square | _values)
+    for key in ("q", "e"):
+        if key != "e" or draw(st.booleans()):
+            module[key] = draw(st.integers(-3, 30) | _values)
+    return module
+
+
+@given(module_json())
+@settings(deadline=None, max_examples=150)
+def test_cohomology_exit_codes(module):
+    # every module input ends in success or a configuration error report
+    stdout = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(module))), \
+            contextlib.redirect_stdout(stdout):
+        code = main(["cohomology", "-"])
+    assert code in (0, 2)
+    report = json.loads(stdout.getvalue())
+    assert report["status"] == ("ok" if code == 0 else "error")
 
 
 def test_oracle_check_cli(capsys):
@@ -213,7 +280,6 @@ def test_console_script_entry_point():
 
 
 def test_stdin_config(capsys, monkeypatch, tmp_path):
-    import io
     cfg = (CONFIG_DIR / "split_r2_q5_n4.json").read_text()
     monkeypatch.setattr(sys, "stdin", io.StringIO(cfg))
     code, out = run_cli(capsys, "packet-group", "-")

@@ -57,6 +57,10 @@ def test_group_not_finite():
            "q": 3, "n": 1, "Q_upper": [[0, 0], [0, 0]]}
     with pytest.raises(GroupNotFinite):
         validate(cfg, closure_cap=100)
+    # at the default cap, two elements agreeing mod 3 end the closure early
+    for frobenius in ([[2, 1], [1, 1]], [[1, 1], [0, 1]]):
+        with pytest.raises(GroupNotFinite, match="mod 3"):
+            validate(dict(cfg, frobenius=frobenius))
 
 
 def test_form_not_invariant():

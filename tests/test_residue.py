@@ -48,6 +48,10 @@ def test_invariant_points_requires_stable_lattice():
     d = validate(load_config("swap_q3_n2"))
     with pytest.raises(LatticeError):
         invariant_points(d, Sublattice.from_columns(2, [[1, 0]]), 1)
+    # Frobenius-stable but not inertia-stable: the inertia restriction refuses
+    d = validate(load_config("s3_ramified_q7_n2"))
+    with pytest.raises(LatticeError):
+        invariant_points(d, Sublattice.from_columns(2, [[1, 1], [0, 2]]), 1)
 
 
 def test_iota_image_examples():
