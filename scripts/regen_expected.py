@@ -21,9 +21,14 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 CAP = 10 ** 6
 
 
+def brute_image(d, lat, m):
+    points = oracle.brute_invariant_points(d, lat, m, cap=CAP)
+    return oracle.brute_iota_image(points, lat, d.q ** m - 1)
+
+
 def brute_level(d, m):
-    amb = oracle.brute_iota_image(d, y_gamma_sharp(d), m, cap=CAP)
-    sub = oracle.brute_iota_image(d, y_sharp(d), m, cap=CAP)
+    amb = brute_image(d, y_gamma_sharp(d), m)
+    sub = brute_image(d, y_sharp(d), m)
     return oracle.brute_quotient(d.q ** m - 1, amb, sub, cap=CAP)
 
 

@@ -20,7 +20,7 @@ from .datum import (ConfigError, CoverDatum, DatumError, DeterminantError,
                     NotPrimePower, RamificationGcdError, RootsOfUnityError,
                     conjugated_config, validate)
 from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, kernel_lattice,
-                     lattice_meet_join, preimage_mod, quotient_invariants)
+                     preimage_mod, quotient_invariants)
 from .residue import (ContainmentViolation, LevelGroup, NTorsionViolation,
                       NotStabilized, StabilizationPolicy, invariant_points,
                       iota_image, packet_group, packet_group_level)

@@ -259,7 +259,7 @@ def _cmd_oracle_check(args) -> dict:
         img_gens = [img.lattice.basis.col(j) for j in range(img.lattice.rank)]
         main_img = oracle.subgroup_from_generators(n_mod, d.rank, img_gens,
                                                    cap=args.oracle_cap)
-        brute_img = oracle.brute_iota_image(d, sub, m, cap=args.oracle_cap)
+        brute_img = oracle.brute_iota_image(brute, sub, n_mod)
         brute_imgs[name] = brute_img
         record(f"iota_image[{name}]", main_img == brute_img,
                len(main_img), len(brute_img))

@@ -18,9 +18,8 @@ from typing import ClassVar, Sequence
 
 from .datum import CoverDatum
 from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, fixed_points,
-                     lattice_meet_join, preimage_lattice, preimage_mod,
-                     quotient_invariants, restrict_endomorphism, solve_columns,
-                     solve_vector)
+                     preimage_lattice, preimage_mod, quotient_invariants,
+                     restrict_endomorphism, solve_columns, solve_modulo)
 from .sharp import y_sharp
 
 
@@ -214,51 +213,57 @@ def h1_class(m: FrobModule, vec: Sequence[int]) -> tuple[int, ...]:
     return _h1_relations(m).reduce_vector(vec)
 
 
-def connecting(ses: ShortExactSequence, c: Sequence[int]) -> tuple[int, ...]:
-    """Connecting homomorphism: lift, apply phi - 1, pull back.
+def _connecting_values(ses: ShortExactSequence, classes: Mat) -> Mat:
+    """Lift each column (a class in h0(right)), apply phi - 1, pull back.
 
-    `c` is a vector whose class lies in h0(right); the result is the
-    canonical representative of its image in h1(left).  The value is
-    independent of the chosen lift; in debug mode a second lift is tried.
+    Column j of the result represents the image of column j in h1(left);
+    in debug mode lifts shifted by a kernel vector must give the same classes.
     """
     problems = exactness_failures(ses)
     if problems:
         raise ExactnessError("; ".join(problems))
-    a, b, cc = ses.left, ses.mid, ses.right
+    a, b, c = ses.left, ses.mid, ses.right
     f, g = ses.inject, ses.project
-    if len(c) != cc.ambient_rank:
+    if classes.rows != c.ambient_rank:
         raise NotInH0("vector length differs from the presentation rank")
-    delta_c = (cc.phi - Mat.identity(cc.ambient_rank)).apply(c)
-    if not cc.relations.contains_vector(delta_c):
+    if not _columns_in((c.phi - Mat.identity(c.ambient_rank)) @ classes, c.relations):
         raise NotInH0("class is not Frobenius-fixed")
-
-    def delta_of_lift(lift: Sequence[int]) -> tuple[int, ...]:
-        w = (b.phi - Mat.identity(b.ambient_rank)).apply(lift)
-        sol = solve_vector(f.hstack(b.relations.basis), w)
-        if sol is None:
-            raise ExactnessError("phi - 1 of a lift is not in the image of the injection")
-        return h1_class(a, sol[:a.ambient_rank])
-
-    lift_sol = solve_vector(g.hstack(cc.relations.basis), c)
-    if lift_sol is None:
+    lifts = solve_modulo(g, classes, c.relations)
+    if lifts is None:
         raise ExactnessError("vector cannot be lifted through the projection")
-    lift = lift_sol[:b.ambient_rank]
-    out = delta_of_lift(lift)
+    delta = b.phi - Mat.identity(b.ambient_rank)
+
+    def pull_back(lifts: Mat) -> Mat:
+        values = solve_modulo(f, delta @ lifts, b.relations)
+        if values is None:
+            raise ExactnessError("phi - 1 of a lift is not in the image of the injection")
+        return values
+
+    values = pull_back(lifts)
     if __debug__ and b.ambient_rank:
-        kernel = preimage_lattice(g, cc.relations)
-        other = tuple(x + y for x, y in zip(lift, kernel.basis.col(0)))
-        assert delta_of_lift(other) == out, "connecting value depends on the lift"
-    return out
+        shift = preimage_lattice(g, c.relations).basis.col(0)
+        others = lifts + Mat.from_columns([shift] * lifts.cols, rows=b.ambient_rank)
+        assert _columns_in(pull_back(others) - values, _h1_relations(a)), \
+            "connecting value depends on the lift"
+    return values
+
+
+def connecting(ses: ShortExactSequence, c: Sequence[int]) -> tuple[int, ...]:
+    """Connecting homomorphism: lift, apply phi - 1, pull back.
+
+    `c` is a vector whose class lies in h0(right); the result is the
+    canonical representative of its image in h1(left).
+    """
+    values = _connecting_values(ses, Mat.from_columns([list(c)]))
+    return h1_class(ses.left, values.col(0))
 
 
 def image_of_connecting(ses: ShortExactSequence) -> FinAbGroup:
     """Subgroup of h1(left) generated by the connecting images of h0(right)."""
-    a, cc = ses.left, ses.right
+    cc = ses.right
     fixed = preimage_lattice(cc.phi - Mat.identity(cc.ambient_rank), cc.relations)
-    values = [connecting(ses, fixed.basis.col(j)) for j in range(fixed.rank)]
-    denom = _h1_relations(a)
-    span = denom.join(Mat.from_columns(values, rows=a.ambient_rank))
-    return quotient_invariants(span, denom)
+    denom = _h1_relations(ses.left)
+    return quotient_invariants(denom.join(_connecting_values(ses, fixed.basis)), denom)
 
 
 def _submodule(lattice: Sublattice, relations: Sublattice, phi: Mat, q: int,
@@ -302,7 +307,7 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
     sharp_frob = restrict_endomorphism(d.frobenius, sharp_lat)
     isogeny_pre = preimage_lattice(s, Sublattice.scaled(r, d.n))
     fixed_b = fixed_points(sharp_gens, r, big_mod)
-    lat_b, _, _ = lattice_meet_join(isogeny_pre, fixed_b)
+    lat_b = isogeny_pre.meet(fixed_b)
     w = lat_b.basis
     mod_b = _submodule(lat_b, Sublattice.scaled(r, big_mod), sharp_frob, d.q, d.q)
 
@@ -389,11 +394,10 @@ def tame_h(m: TameModule) -> TameCohomology:
 
 def _inverse_mod_relations(a: Mat, relations: Sublattice) -> Mat:
     """A matrix inducing the inverse of `a` on Z^k/relations."""
-    k = a.rows
-    sol = solve_columns(a.hstack(relations.basis), Mat.identity(k))
-    if sol is None:
+    inverse = solve_modulo(a, Mat.identity(a.rows), relations)
+    if inverse is None:
         raise ModuleError("endomorphism is not invertible on the module")
-    return Mat.from_rows(sol.to_rows()[:k], cols=k)
+    return inverse
 
 
 def dual_module(m: TameModule, n: int) -> TameModule:
@@ -438,6 +442,8 @@ class CountingReport:
 
 def counting_checks(m: TameModule, n: int) -> CountingReport:
     """Verify #H0*#H2 = #H1, #H2(A) = #H0(A'), and the unramified H1 split."""
+    if n < 1:
+        raise ModuleError("n must be >= 1")
     if n % m.exponent:
         raise ModuleError("exponent of the module must divide n")
     if gcd(n, m.q) != 1:

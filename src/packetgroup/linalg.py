@@ -70,6 +70,8 @@ class Mat:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
                 raise LatticeError("ragged rows")
+            if cols is not None and cols != width:
+                raise LatticeError("row length differs from the given column count")
         else:
             width = 0 if cols is None else cols
         flat = tuple(int(x) for r in rows for x in r)
@@ -82,6 +84,8 @@ class Mat:
             height = len(columns[0])
             if any(len(c) != height for c in columns):
                 raise LatticeError("ragged columns")
+            if rows is not None and rows != height:
+                raise LatticeError("column length differs from the given row count")
         else:
             height = 0 if rows is None else rows
         flat = tuple(int(columns[j][i]) for i in range(height) for j in range(len(columns)))
@@ -376,9 +380,10 @@ def solve_columns(b: Mat, target: Mat) -> Optional[Mat]:
     return Mat.from_columns(cols, rows=b.cols)
 
 
-def solve_vector(b: Mat, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
-    sol = solve_columns(b, Mat.from_columns([list(vec)], rows=b.rows))
-    return None if sol is None else sol.col(0)
+def solve_modulo(m: Mat, target: Mat, lattice: "Sublattice") -> Optional[Mat]:
+    """Integral X with every column of m @ X - target in `lattice`, or None."""
+    sol = solve_columns(m.hstack(lattice.basis), target)
+    return None if sol is None else Mat(m.cols, sol.cols, sol.entries[:m.cols * sol.cols])
 
 
 @dataclass(frozen=True)
@@ -491,6 +496,10 @@ class Sublattice:
             raise AmbientMismatch("matrix height differs from ambient rank")
         return Sublattice.from_columns(self.ambient_rank, m.columns() + self.basis.columns())
 
+    def meet(self, other: "Sublattice") -> "Sublattice":
+        """The intersection of this lattice with `other`."""
+        return preimage_lattice(self.basis, other).image_under(self.basis)
+
     def index_in_ambient(self) -> Optional[int]:
         """|Z^r / L| when L is full rank, else None."""
         if self.rank != self.ambient_rank:
@@ -549,24 +558,6 @@ def fixed_points(mats: Iterable[Mat], k: int, n: int) -> Sublattice:
     conditions = [a - ident for a in mats]
     stacked = reduce(Mat.vstack, conditions) if conditions else Mat.zeros(0, k)
     return kernel_lattice(stacked) if n == 0 else preimage_mod(stacked, n)
-
-
-def lattice_meet_join(a: Sublattice, b: Sublattice) -> tuple[Sublattice, Sublattice, Optional[int]]:
-    """(a intersect b, a + b, index of the meet in the join or None)."""
-    if a.ambient_rank != b.ambient_rank:
-        raise AmbientMismatch("ambient ranks differ")
-    r = a.ambient_rank
-    join = b.join(a.basis)
-    if a.rank == 0 or b.rank == 0:
-        meet = Sublattice.zero(r)
-    else:
-        block = a.basis.hstack(b.basis.scale(-1))
-        ker = kernel_lattice(block)
-        cols = [a.basis.apply(ker.basis.col(j)[:a.rank]) for j in range(ker.rank)]
-        meet = Sublattice.from_columns(r, cols)
-    if meet.rank != join.rank:
-        return meet, join, None
-    return meet, join, quotient_invariants(join, meet).order
 
 
 @dataclass(frozen=True)

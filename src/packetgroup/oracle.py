@@ -107,15 +107,13 @@ def brute_invariant_points(d: CoverDatum, sub: Sublattice, m: int,
     return frozenset(out)
 
 
-def brute_iota_image(d: CoverDatum, sub: Sublattice, m: int,
-                     cap: int = DEFAULT_CAP) -> frozenset[tuple[int, ...]]:
-    """Elementwise image of the invariant points in the ambient (Z/N)^r."""
-    n_mod = d.q ** m - 1
-    fixed = brute_invariant_points(d, sub, m, cap=cap)
+def brute_iota_image(points: Iterable[tuple[int, ...]], sub: Sublattice,
+                     n_mod: int) -> frozenset[tuple[int, ...]]:
+    """Elementwise image in the ambient (Z/N)^r of points in sub's coordinates."""
     rows = sub.basis.to_rows()
     return frozenset(
         tuple(sum(row[j] * vec[j] for j in range(len(vec))) % n_mod for row in rows)
-        for vec in fixed)
+        for vec in points)
 
 
 def brute_quotient(modulus: int, amb_elems: Iterable[tuple[int, ...]],

@@ -65,12 +65,13 @@ def test_criterion_02_oracle_equivalence_bundled(bundled_configs):
                 from packetgroup.residue import invariant_points, iota_image
                 lg = invariant_points(d, sub, m)
                 gens = [lg.lattice.basis.col(j) for j in range(lg.lattice.rank)]
+                points = oracle.brute_invariant_points(d, sub, m)
                 assert oracle.subgroup_from_generators(n_mod, sub.rank, gens) == \
-                    oracle.brute_invariant_points(d, sub, m), (name, m)
+                    points, (name, m)
                 img = iota_image(d, sub, m)
                 img_gens = [img.lattice.basis.col(j)
                             for j in range(img.lattice.rank)]
-                brute_imgs.append(oracle.brute_iota_image(d, sub, m))
+                brute_imgs.append(oracle.brute_iota_image(points, sub, n_mod))
                 assert oracle.subgroup_from_generators(n_mod, d.rank, img_gens) == \
                     brute_imgs[-1], (name, m)
             level_group = packet_group_level(d, m)

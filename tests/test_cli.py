@@ -115,6 +115,12 @@ def test_cohomology_cli(capsys, tmp_path):
     report = json.loads(out)
     assert report["results"]["sizes"] == {"h0": 3, "h1": 9, "h2": 3}
     assert report["results"]["counting"]["ok"] is True
+    # a degree below 1 skips the counting identities but keeps the report
+    code, out = run_cli(capsys, "cohomology", str(path), "--n", "-3")
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["sizes"] == {"h0": 3, "h1": 9, "h2": 3}
+    assert report["results"]["counting"] == {"n": -3, "skipped": "n must be >= 1"}
 
 
 BAD_MODULES = [

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from packetgroup.linalg import (AmbientMismatch, FinAbGroup, InfiniteQuotient,
                                 LatticeError, Mat, NotASublattice, Sublattice,
                                 column_hnf, fixed_points, kernel_lattice,
-                                lattice_meet_join, preimage_lattice, preimage_mod,
-                                quotient_invariants, restrict_endomorphism, smith,
-                                solve_columns, solve_vector, xgcd)
+                                preimage_lattice, preimage_mod, quotient_invariants,
+                                restrict_endomorphism, smith, solve_columns,
+                                solve_modulo, xgcd)
 
 entries = st.integers(-9, 9)
 
@@ -47,6 +47,14 @@ def test_hnf_snf_examples():
     assert column_hnf(z).cols == 0
     assert smith(z).d == ()
 
+    # a given size must match non-empty input and sizes empty input
+    assert Mat.from_rows([[1, 2]], cols=2) == Mat.from_columns([[1], [2]], rows=1)
+    assert Mat.from_rows([], cols=3).cols == Mat.from_columns([], rows=3).rows == 3
+    with pytest.raises(LatticeError):
+        Mat.from_rows([[1, 2]], cols=1)
+    with pytest.raises(LatticeError):
+        Mat.from_columns([[1, 2]], rows=3)
+
 
 def test_kernel_examples():
     assert kernel_lattice(Mat.from_rows([[1, 1]])).basis.columns() == [(1, -1)]
@@ -65,18 +73,23 @@ def test_preimage_examples():
 def test_meet_join_examples():
     a = Sublattice.from_columns(2, [[2, 0], [0, 1]])
     b = Sublattice.from_columns(2, [[1, 0], [0, 3]])
-    meet, join, idx = lattice_meet_join(a, b)
+    meet, join = a.meet(b), b.join(a.basis)
     assert meet == Sublattice.from_columns(2, [[2, 0], [0, 3]])
-    assert join.is_full and idx == 6
+    assert join.is_full and quotient_invariants(join, meet).order == 6
 
-    meet, join, idx = lattice_meet_join(a, a)
-    assert meet == a and join == a and idx == 1
+    meet, join = a.meet(a), a.join(a.basis)
+    assert meet == a and join == a and quotient_invariants(join, meet).order == 1
 
-    meet, join, idx = lattice_meet_join(Sublattice.scaled(2, 2), Sublattice.zero(2))
-    assert meet.rank == 0 and join == Sublattice.scaled(2, 2) and idx is None
+    a2, zero = Sublattice.scaled(2, 2), Sublattice.zero(2)
+    meet, join = a2.meet(zero), zero.join(a2.basis)
+    assert meet.rank == 0 and join == Sublattice.scaled(2, 2)
+    assert meet.rank != join.rank
+    with pytest.raises(InfiniteQuotient):
+        quotient_invariants(join, meet)
+    assert zero.meet(a2) == meet
 
     with pytest.raises(AmbientMismatch):
-        lattice_meet_join(a, Sublattice.full(3))
+        a.meet(Sublattice.full(3))
     with pytest.raises(AmbientMismatch):
         a.join(Mat.identity(3))
 
@@ -182,13 +195,27 @@ def test_quotient_order_matches_det_ratio(data):
 def test_solve_columns_roundtrip(m, data):
     x = [data.draw(st.integers(-5, 5)) for _ in range(m.cols)]
     target = m.apply(x)
-    sol = solve_vector(m, target)
+    sol = solve_columns(m, Mat.from_columns([target]))
     assert sol is not None
-    assert m.apply(sol) == tuple(target)
+    assert m.apply(sol.col(0)) == tuple(target)
+    # modulo a full-rank lattice L: m @ X - target has columns in L
+    lat = Sublattice.from_matrix(data.draw(unimodulars(m.rows)).scale(
+        data.draw(st.integers(1, 6))))
+    shift = [data.draw(st.integers(-3, 3)) for _ in range(m.rows)]
+    shifted = tuple(t + s for t, s in zip(target, lat.basis.apply(shift)))
+    sol = solve_modulo(m, Mat.from_columns([shifted, target]), lat)
+    assert sol is not None and (sol.rows, sol.cols) == (m.cols, 2)
+    for j, want in enumerate((shifted, target)):
+        got = m.apply(sol.col(j))
+        assert lat.contains_vector([g - w for g, w in zip(got, want)])
 
 
 def test_solve_unsolvable():
-    assert solve_vector(Mat.from_rows([[2]]), (1,)) is None
+    assert solve_columns(Mat.from_rows([[2]]), Mat.from_columns([[1]])) is None
+    assert solve_modulo(Mat.from_rows([[2]]), Mat.from_columns([[1]]),
+                        Sublattice.scaled(1, 4)) is None
+    assert solve_modulo(Mat.from_rows([[2]]), Mat.from_columns([[1]]),
+                        Sublattice.scaled(1, 3)) is not None
     assert solve_columns(Mat.from_rows([[1], [1]]),
                          Mat.from_columns([[1, 2]], rows=2)) is None
 
@@ -233,12 +260,15 @@ def test_meet_join_containments(data):
                                 min_size=0, max_size=r))
     a = Sublattice.from_columns(r, cols_a)
     b = Sublattice.from_columns(r, cols_b)
-    meet, join, idx = lattice_meet_join(a, b)
+    meet, join = a.meet(b), b.join(a.basis)
     assert a.contains(meet) and b.contains(meet)
     assert join.contains(a) and join.contains(b)
     m = Mat.from_columns(cols_b, rows=r)
     span = a.join(m)
     assert span == Sublattice.from_columns(r, cols_b + a.basis.columns()) == join
     assert span.contains(a) and all(span.contains_vector(c) for c in cols_b)
-    if idx is not None:
-        assert idx >= 1
+    if meet.rank == join.rank:
+        assert quotient_invariants(join, meet).order >= 1
+    else:
+        with pytest.raises(InfiniteQuotient):
+            quotient_invariants(join, meet)

@@ -76,7 +76,7 @@ def test_brute_sharp_and_subgroup_closure():
 def test_brute_iota_image_swap():
     swap = validate(load_config("swap_q3_n2"))
     from packetgroup.sharp import y_gamma_sharp, y_sharp
-    img = brute_iota_image(swap, y_gamma_sharp(swap), 1)
-    assert img == frozenset({(0, 0), (1, 1)})
-    img = brute_iota_image(swap, y_sharp(swap), 1)
-    assert img == frozenset({(0, 0)})
+    for lat, want in ((y_gamma_sharp(swap), {(0, 0), (1, 1)}),
+                      (y_sharp(swap), {(0, 0)})):
+        points = brute_invariant_points(swap, lat, 1)
+        assert brute_iota_image(points, lat, swap.q - 1) == frozenset(want)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from packetgroup.datum import conjugated_config, validate
-from packetgroup.linalg import LatticeError, Mat, Sublattice, lattice_meet_join
+from packetgroup.linalg import LatticeError, Mat, Sublattice
 from packetgroup.randomgen import random_unimodular, random_valid_datum
 from packetgroup.residue import (LevelGroup, NotStabilized, StabilizationPolicy,
                                  invariant_points, iota_image, packet_group,
@@ -153,7 +153,7 @@ def test_level_compatibility_embedding():
                        for j in range(k)])
                 image_of_torsion = Sublattice.from_columns(
                     k, [[mult if i == j else 0 for i in range(k)] for j in range(k)])
-                meet, _, _ = lattice_meet_join(big.lattice, image_of_torsion)
+                meet = big.lattice.meet(image_of_torsion)
                 assert meet == embedded, (d.q, d.n, m, mp)
 
 
