@@ -36,10 +36,10 @@ def main() -> None:
     print("BUNDLED_EXPECTED_S = {")
     for path in sorted(CONFIG_DIR.glob("*.json")):
         d = validate(json.loads(path.read_text()))
-        group, _ = packet_group(d)
+        group, trace = packet_group(d)
         # confirm the stabilized value by enumeration where feasible
         confirmations = []
-        for m in [lv for lv, _ in packet_group(d)[1]]:
+        for m, _ in trace:
             if (d.q ** m - 1) ** d.rank <= CAP:
                 confirmations.append((m, brute_level(d, m).invariant_factors))
         print(f"    {path.stem!r}: {group.invariant_factors!r},"

@@ -305,7 +305,7 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
     # preimage of the level-m part, restricted to inertia-fixed points
     sharp_gens = [restrict_endomorphism(g, sharp_lat) for g in d.inertia_gens]
     sharp_frob = restrict_endomorphism(d.frobenius, sharp_lat)
-    isogeny_pre = preimage_lattice(s, Sublattice.scaled(r, d.n))
+    isogeny_pre = preimage_mod(s, d.n)
     fixed_b = fixed_points(sharp_gens, r, big_mod)
     lat_b = isogeny_pre.meet(fixed_b)
     w = lat_b.basis
@@ -407,12 +407,11 @@ def dual_module(m: TameModule, n: int) -> TameModule:
     plain contragredient and Frobenius by q times the contragredient.
     Requires the exponent of M to divide n.
     """
-    k = m.ambient_rank
     if n % m.exponent:
         raise ModuleError("exponent of the module must divide n")
     admissible = preimage_mod(m.relations.basis.transpose(), n)
     w = admissible.basis
-    rel = preimage_lattice(w, Sublattice.scaled(k, n)) if k else m.relations
+    rel = preimage_mod(w, n)
     sigma_inv = _inverse_mod_relations(m.sigma, m.relations)
     phi_inv = _inverse_mod_relations(m.phi, m.relations)
     sigma_dual = restrict_endomorphism(sigma_inv.transpose(), admissible)
@@ -420,7 +419,7 @@ def dual_module(m: TameModule, n: int) -> TameModule:
     dual = TameModule(rel, sigma_dual, phi_dual, m.e, m.q)
     if dual.order != m.order:
         raise ModuleError("dual has a different order than the module")
-    if k and preimage_mod(w.transpose(), n) != m.relations:
+    if preimage_mod(w.transpose(), n) != m.relations:
         raise ModuleError("evaluation pairing is degenerate")
     return dual
 

@@ -60,7 +60,7 @@ class Mat:
             raise LatticeError("negative dimensions")
         if len(self.entries) != self.rows * self.cols:
             raise LatticeError("entry count does not match dimensions")
-        if not all(isinstance(x, int) for x in self.entries):
+        if not all(type(x) is int for x in self.entries):
             raise LatticeError("entries must be integers")
 
     @classmethod
@@ -74,7 +74,7 @@ class Mat:
                 raise LatticeError("row length differs from the given column count")
         else:
             width = 0 if cols is None else cols
-        flat = tuple(int(x) for r in rows for x in r)
+        flat = tuple(x for r in rows for x in r)
         return cls(len(rows), width, flat)
 
     @classmethod
@@ -88,7 +88,7 @@ class Mat:
                 raise LatticeError("column length differs from the given row count")
         else:
             height = 0 if rows is None else rows
-        flat = tuple(int(columns[j][i]) for i in range(height) for j in range(len(columns)))
+        flat = tuple(columns[j][i] for i in range(height) for j in range(len(columns)))
         return cls(height, len(columns), flat)
 
     @classmethod
@@ -523,12 +523,22 @@ class Sublattice:
         return f"<lattice rank {self.rank} in Z^{self.ambient_rank}: {cols}>"
 
 
+def congruence_lattice(dec: SmithDecomposition, n: int) -> Sublattice:
+    """{x : m @ x == 0 mod n} for the m that `dec` reduces; n = 0 means exactly.
+
+    U @ m @ V = diag(d) turns the condition on x = V @ y into d_i * y_i == 0
+    mod n, so the lattice is spanned by the columns V_i * n / gcd(d_i, n)
+    and the free columns past len(d) (Cohen, GTM 138, section 2.4).
+    """
+    d = dec.d
+    cols = [[(n // gcd(d[j], n) if j < len(d) else 1) * x for x in dec.V.col(j)]
+            for j in range(dec.V.cols)]
+    return Sublattice.from_columns(dec.V.rows, cols)
+
+
 def kernel_lattice(m: Mat) -> Sublattice:
     """{x in Z^cols : m @ x = 0}, canonical."""
-    dec = smith(m)
-    rank = len(dec.d)
-    cols = [dec.V.col(j) for j in range(rank, m.cols)]
-    return Sublattice.from_columns(m.cols, cols)
+    return congruence_lattice(smith(m), 0)
 
 
 def preimage_lattice(m: Mat, target: Sublattice) -> Sublattice:
@@ -547,17 +557,17 @@ def preimage_mod(m: Mat, n: int) -> Sublattice:
     """{x in Z^cols : m @ x == 0 mod n}; always contains n Z^cols."""
     if n < 1:
         raise LatticeError("modulus must be >= 1")
-    if n == 1 or m.rows == 0:
-        return Sublattice.full(m.cols)
-    return preimage_lattice(m, Sublattice.scaled(m.rows, n))
+    return congruence_lattice(smith(m), n)
+
+
+def fixed_point_conditions(mats: Iterable[Mat], k: int) -> Mat:
+    """Every a - 1 stacked: x is fixed by all of mats iff the stack kills x."""
+    return reduce(Mat.vstack, [a - Mat.identity(k) for a in mats], Mat.zeros(0, k))
 
 
 def fixed_points(mats: Iterable[Mat], k: int, n: int) -> Sublattice:
     """{x in Z^k : a @ x == x mod n for every a in mats}; n = 0 means exactly."""
-    ident = Mat.identity(k)
-    conditions = [a - ident for a in mats]
-    stacked = reduce(Mat.vstack, conditions) if conditions else Mat.zeros(0, k)
-    return kernel_lattice(stacked) if n == 0 else preimage_mod(stacked, n)
+    return congruence_lattice(smith(fixed_point_conditions(mats, k)), n)
 
 
 @dataclass(frozen=True)

@@ -213,20 +213,6 @@ def brute_radical(gram_rows: Sequence[Sequence[int]], n: int,
     return frozenset(out)
 
 
-def brute_sharp_set(b_rows: Sequence[Sequence[int]], n: int,
-                    cap: int = DEFAULT_CAP) -> frozenset[tuple[int, ...]]:
-    """{y mod n : B(y, e_j) = 0 mod n for all j}, by enumeration."""
-    k = len(b_rows)
-    if n ** k > cap:
-        raise CapExceeded(f"n^k = {n ** k} exceeds the cap {cap}")
-    out = []
-    for y in product(range(n), repeat=k):
-        vals = [sum(y[i] * b_rows[i][j] for i in range(k)) % n for j in range(k)]
-        if all(v == 0 for v in vals):
-            out.append(y)
-    return frozenset(out)
-
-
 def subgroup_from_generators(modulus: int, rank: int,
                              gens: Iterable[Sequence[int]],
                              cap: int = DEFAULT_CAP) -> frozenset[tuple[int, ...]]:

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .datum import CoverDatum
-from .linalg import (FinAbGroup, LatticeError, Sublattice, fixed_points,
-                     quotient_invariants, restrict_endomorphism)
+from .linalg import (FinAbGroup, LatticeError, SmithDecomposition, Sublattice,
+                     congruence_lattice, fixed_point_conditions, quotient_invariants,
+                     restrict_endomorphism, smith)
 from .sharp import y_gamma_sharp, y_sharp
 
 
@@ -39,21 +40,16 @@ class LevelGroup:
 
     level: int
     modulus: int
-    ambient_rank: int
     lattice: Sublattice
 
     def __post_init__(self) -> None:
-        if self.lattice.ambient_rank != self.ambient_rank:
-            raise LatticeError("lattice ambient rank mismatch")
-        if self.ambient_rank and not self.lattice.contains(
-                Sublattice.scaled(self.ambient_rank, self.modulus)):
+        if not self.lattice.contains(
+                Sublattice.scaled(self.lattice.ambient_rank, self.modulus)):
             raise LatticeError("lattice does not contain N Z^k")
 
     @property
     def order(self) -> int:
-        if self.ambient_rank == 0:
-            return 1
-        return (self.modulus ** self.ambient_rank) // self.lattice.index_in_ambient()
+        return (self.modulus ** self.lattice.ambient_rank) // self.lattice.index_in_ambient()
 
 
 @dataclass(frozen=True)
@@ -73,47 +69,44 @@ class StabilizationPolicy:
             raise ValueError("max_level must be >= 1")
 
 
-def level_modulus(d: CoverDatum, m: int) -> int:
-    if m < 1:
-        raise ValueError("level must be >= 1")
-    return d.q ** m - 1
-
-
-def invariant_points(d: CoverDatum, sub: Sublattice, m: int) -> LevelGroup:
-    """Fixed points of the twisted action on sub x mu_N, in sub's own basis.
+def _twisted_conditions(d: CoverDatum, sub: Sublattice) -> SmithDecomposition:
+    """SNF of the conditions for a point of sub x mu_N to be fixed, in sub's basis.
 
     Inertia generators act through their restriction matrices alone;
     the Frobenius restriction is multiplied by q, encoding x -> x**q on
-    the roots of unity.
+    the roots of unity.  Nothing here depends on the level.
     """
     actions = [restrict_endomorphism(g, sub) for g in d.inertia_gens]
     actions.append(restrict_endomorphism(d.frobenius, sub).scale(d.q))
-    n_mod = level_modulus(d, m)
-    k = sub.rank
-    lattice = fixed_points(actions, k, n_mod)
-    return LevelGroup(level=m, modulus=n_mod, ambient_rank=k, lattice=lattice)
+    return smith(fixed_point_conditions(actions, sub.rank))
+
+
+def _points(d: CoverDatum, conditions: SmithDecomposition, m: int) -> LevelGroup:
+    """The level-m invariant points read off the level-free `conditions`."""
+    if m < 1:
+        raise ValueError("level must be >= 1")
+    n_mod = d.q ** m - 1
+    return LevelGroup(m, n_mod, congruence_lattice(conditions, n_mod))
+
+
+def _image(sub: Sublattice, points: LevelGroup) -> LevelGroup:
+    torsion = Sublattice.scaled(sub.ambient_rank, points.modulus)
+    return LevelGroup(points.level, points.modulus, torsion.join(sub.basis @ points.lattice.basis))
+
+
+def invariant_points(d: CoverDatum, sub: Sublattice, m: int) -> LevelGroup:
+    """Fixed points of the twisted action on sub x mu_N, in sub's own basis."""
+    return _points(d, _twisted_conditions(d, sub), m)
 
 
 def iota_image(d: CoverDatum, sub: Sublattice, m: int) -> LevelGroup:
     """Image of the invariant points in the ambient (Z/N)^r."""
-    inv = invariant_points(d, sub, m)
-    n_mod = inv.modulus
-    lattice = Sublattice.scaled(d.rank, n_mod).join(sub.basis @ inv.lattice.basis)
-    return LevelGroup(level=m, modulus=n_mod, ambient_rank=d.rank, lattice=lattice)
+    return _image(sub, invariant_points(d, sub, m))
 
 
 def packet_group_level(d: CoverDatum, m: int) -> FinAbGroup:
     """Quotient of the gamma-sharp image by the sharp image at level m."""
-    big = iota_image(d, y_gamma_sharp(d), m)
-    small = iota_image(d, y_sharp(d), m)
-    if not big.lattice.contains(small.lattice):
-        raise ContainmentViolation(
-            f"sharp image not contained in gamma-sharp image at level {m}")
-    group = quotient_invariants(big.lattice, small.lattice)
-    if any(d.n % f for f in group.invariant_factors):
-        raise NTorsionViolation(
-            f"invariant factors {group.invariant_factors} do not all divide n = {d.n}")
-    return group
+    return packet_group(d, StabilizationPolicy(start_level=m, stable_repeats=1, max_level=m))[0]
 
 
 def packet_group(d: CoverDatum,
@@ -124,15 +117,25 @@ def packet_group(d: CoverDatum,
     Levels m0, 2*m0, 4*m0, ... are evaluated until `stable_repeats`
     consecutive levels return the same invariant factors; m0 defaults to
     the exponent of the generated matrix group.  Raises NotStabilized when
-    max_level is exceeded, never returning a silent answer.  Per-level
-    computations are pure functions of (datum, level), so they could run
-    concurrently; they are evaluated in order here so the trace is
-    deterministic.
+    max_level is exceeded, never returning a silent answer.  Only
+    N = q**m - 1 depends on the level: the sharp lattices and the SNFs of
+    their twisted fixed-point conditions are computed once per call, and a
+    level costs gcds against N, HNFs and one quotient SNF.
     """
+    subs = (y_gamma_sharp(d), y_sharp(d))
+    conditions = [_twisted_conditions(d, sub) for sub in subs]
     m = policy.start_level if policy.start_level is not None else d.gamma_exponent
     trace: list[tuple[int, FinAbGroup]] = []
     while m <= policy.max_level:
-        trace.append((m, packet_group_level(d, m)))
+        big, small = (_image(sub, _points(d, c, m)) for sub, c in zip(subs, conditions))
+        if not big.lattice.contains(small.lattice):
+            raise ContainmentViolation(
+                f"sharp image not contained in gamma-sharp image at level {m}")
+        group = quotient_invariants(big.lattice, small.lattice)
+        if any(d.n % f for f in group.invariant_factors):
+            raise NTorsionViolation(
+                f"invariant factors {group.invariant_factors} do not all divide n = {d.n}")
+        trace.append((m, group))
         if len(trace) >= policy.stable_repeats:
             window = trace[-policy.stable_repeats:]
             if all(g == window[0][1] for _, g in window):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import prod
 
 import pytest
@@ -54,6 +55,11 @@ def test_hnf_snf_examples():
         Mat.from_rows([[1, 2]], cols=1)
     with pytest.raises(LatticeError):
         Mat.from_columns([[1, 2]], rows=3)
+    # entries are taken as given: floats and bools are not integers
+    with pytest.raises(LatticeError):
+        Mat.from_rows([[1.7, 2]])
+    with pytest.raises(LatticeError):
+        Mat.from_columns([[True]])
 
 
 def test_kernel_examples():
@@ -170,6 +176,10 @@ def test_preimage_mod_membership(m, n):
         assert all(v % n == 0 for v in m.apply(lat.basis.col(j)))
     assert lat.rank == m.cols
     assert fixed_points(as_fixed_point_actions(m), m.cols, n) == lat
+    # complete: every residue class that m sends to 0 mod n is in the lattice
+    for x in product(range(n), repeat=m.cols):
+        if all(v % n == 0 for v in m.apply(x)):
+            assert lat.contains_vector(x), x
 
 
 @given(st.data())

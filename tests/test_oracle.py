@@ -5,7 +5,7 @@ from packetgroup.linalg import Sublattice
 from packetgroup.oracle import (AmbiguousOrderProfile, CapExceeded, NotASubgroup,
                                 _abelian_chains, brute_invariant_points,
                                 brute_iota_image, brute_quotient, brute_radical,
-                                brute_sharp_set, subgroup_from_generators)
+                                subgroup_from_generators)
 
 from conftest import load_config
 
@@ -67,7 +67,7 @@ def test_brute_radical_examples():
 
 
 def test_brute_sharp_and_subgroup_closure():
-    sharp = brute_sharp_set([[0, 1], [1, 0]], 2)
+    sharp = brute_radical([[0, 1], [1, 0]], 2)
     assert sharp == frozenset({(0, 0)})
     sub = subgroup_from_generators(4, 2, [(1, 2)])
     assert sub == frozenset({(0, 0), (1, 2), (2, 0), (3, 2)})

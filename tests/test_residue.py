@@ -3,7 +3,7 @@ import random
 import pytest
 
 from packetgroup.datum import conjugated_config, validate
-from packetgroup.linalg import LatticeError, Mat, Sublattice
+from packetgroup.linalg import LatticeError, Mat, Sublattice, quotient_invariants
 from packetgroup.randomgen import random_unimodular, random_valid_datum
 from packetgroup.residue import (LevelGroup, NotStabilized, StabilizationPolicy,
                                  invariant_points, iota_image, packet_group,
@@ -120,7 +120,7 @@ def test_level_group_order():
     lg = invariant_points(d, Sublattice.full(2), 2)
     assert lg.order == 8
     with pytest.raises(LatticeError):
-        LevelGroup(level=1, modulus=4, ambient_rank=2,
+        LevelGroup(level=1, modulus=4,
                    lattice=Sublattice.from_columns(2, [[1, 0], [0, 3]]))
 
 
@@ -128,8 +128,13 @@ def test_torsion_divides_degree():
     rng = random.Random(99)
     for _ in range(30):
         d = random_valid_datum(rng)
-        group, _ = packet_group(d)
+        group, trace = packet_group(d)
         assert all(d.n % f == 0 for f in group.invariant_factors)
+        # each traced level is the quotient of the one-shot images
+        big, small = y_gamma_sharp(d), y_sharp(d)
+        for m, level_group in trace:
+            assert level_group == quotient_invariants(
+                iota_image(d, big, m).lattice, iota_image(d, small, m).lattice), m
 
 
 def test_level_compatibility_embedding():

@@ -4,7 +4,7 @@ import pytest
 
 from packetgroup.datum import validate
 from packetgroup.linalg import Mat, NotASublattice, Sublattice
-from packetgroup.oracle import brute_radical, brute_sharp_set, subgroup_from_generators
+from packetgroup.oracle import brute_radical, subgroup_from_generators
 from packetgroup.randomgen import random_valid_datum
 from packetgroup.sharp import (fixed_lattice, radical_of_induced_form, sharp,
                                y_gamma_sharp, y_sharp)
@@ -89,4 +89,3 @@ def test_radical_brute_cross_check():
             lat = y_sharp(d)
             gens = [lat.basis.col(j) for j in range(lat.rank)]
             assert subgroup_from_generators(d.n, d.rank, gens) == brute
-            assert brute_sharp_set(d.bilinear.to_rows(), d.n) == brute
