@@ -21,9 +21,10 @@ from .datum import (ConfigError, CoverDatum, DatumError, DeterminantError,
                     conjugated_config, validate)
 from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, kernel_lattice,
                      preimage_mod, quotient_invariants)
-from .residue import (ContainmentViolation, LevelGroup, NTorsionViolation,
-                      NotStabilized, StabilizationPolicy, invariant_points,
-                      iota_image, packet_group, packet_group_level)
+from .residue import (ContainmentViolation, LevelError, LevelGroup,
+                      NTorsionViolation, NotStabilized, StabilizationPolicy,
+                      invariant_points, iota_image, packet_group,
+                      packet_group_level)
 from .sharp import fixed_lattice, radical_of_induced_form, sharp, y_gamma_sharp, y_sharp
 from .symbols import (SplitCenterReport, SymbolError, TameElt, TameField,
                       commutator, hilbert, split_center_image)

@@ -21,9 +21,9 @@ from .cohomology import ModuleError, TameModule, counting_checks, tame_h
 from .datum import DEFAULT_CLOSURE_CAP, DatumError, parse_matrix, validate
 from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice,
                      quotient_invariants)
-from .residue import (ContainmentViolation, NTorsionViolation, NotStabilized,
-                      StabilizationPolicy, invariant_points, iota_image,
-                      packet_group, packet_group_level)
+from .residue import (ContainmentViolation, LevelError, NTorsionViolation,
+                      NotStabilized, StabilizationPolicy, invariant_points,
+                      iota_image, packet_group, packet_group_level)
 from .sharp import fixed_lattice, radical_of_induced_form, y_gamma_sharp, y_sharp
 from .symbols import SymbolError, TameField, commutator, hilbert
 
@@ -196,9 +196,11 @@ def _cmd_cohomology(args) -> dict:
 
 def _parse_pair(text: str) -> tuple[int, int]:
     parts = text.split(",")
-    if len(parts) != 2:
-        raise SymbolError(f"expected 'v,u', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        v, u = (int(x) for x in parts)
+    except ValueError:
+        raise SymbolError(f"expected 'v,u', got {text!r}") from None
+    return v, u
 
 
 def _cmd_hilbert(args) -> dict:
@@ -372,14 +374,14 @@ def main(argv: Optional[list[str]] = None) -> int:
                            for m, g in ex.trace]
         _emit(report, args.format)
         return EXIT_NOT_STABILIZED
-    except (ContainmentViolation, NTorsionViolation, AssertionError,
+    except (DatumError, ModuleError, SymbolError, LatticeError, LevelError,
+            oracle.CapExceeded) as ex:
+        _emit(error_report(type(ex).__name__, str(ex)), args.format)
+        return EXIT_CONFIG
+    except (ContainmentViolation, NTorsionViolation, AssertionError, ValueError,
             oracle.NotASubgroup, oracle.AmbiguousOrderProfile) as ex:
         _emit(error_report(type(ex).__name__, str(ex)), args.format)
         return EXIT_INTERNAL
-    except (DatumError, ModuleError, SymbolError, LatticeError,
-            oracle.CapExceeded, ValueError) as ex:
-        _emit(error_report(type(ex).__name__, str(ex)), args.format)
-        return EXIT_CONFIG
     except OSError as ex:
         _emit(error_report("IOError", str(ex)), args.format)
         return EXIT_CONFIG

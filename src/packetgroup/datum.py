@@ -4,20 +4,25 @@ A datum consists of a lattice rank r, integer matrices generating a finite
 group of lattice automorphisms (inertia generators plus one Frobenius
 lift), a residue size q (prime power), a cover degree n, and an
 upper-triangular matrix presenting an invariant quadratic form on Z^r.
-Validation enumerates the generated matrix group, derives the symmetrized
-bilinear form, and checks every structural hypothesis before any
-computation runs.
+Validation enumerates the generated group as permutations of the finite
+orbit of the basis vectors, derives the symmetrized bilinear form, and
+checks every structural hypothesis before any computation runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
 from .linalg import Mat, solve_columns
 
 DEFAULT_CLOSURE_CAP = 10 ** 6
+
+# A group element as the permutation x of the basis-vector orbit with
+# x . orbit[i] = orbit[x[i]].
+Perm = tuple[int, ...]
 
 
 class DatumError(ValueError):
@@ -33,7 +38,7 @@ class DeterminantError(DatumError):
 
 
 class GroupNotFinite(DatumError):
-    """Group closure exceeded the configured cap."""
+    """The group is infinite, or larger than the configured cap."""
 
 
 class FormNotInvariant(DatumError):
@@ -56,27 +61,58 @@ class NotPrimePower(DatumError):
     """q is not a prime power >= 2."""
 
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below
+# this bound (Sorenson and Webster, 2015); q at or above it is refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+Q_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n: int) -> bool:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _integer_root(x: int, k: int) -> int:
+    """The largest y with y**k <= x, for x >= 1, by Newton's method from above."""
+    y = 1 << -(-x.bit_length() // k)
+    while True:
+        z = ((k - 1) * y + x // y ** (k - 1)) // k
+        if z >= y:
+            return y
+        y = z
+
+
 def prime_power_decomposition(q: int) -> tuple[int, int]:
-    """Return (p, k) with q = p**k, p prime; raise NotPrimePower otherwise."""
+    """Return (p, k) with q = p**k, p prime; raise NotPrimePower otherwise.
+
+    q must be below Q_LIMIT (about 3.3e24), where the primality test is
+    deterministic; a larger q is a ConfigError.
+    """
     if q < 2:
         raise NotPrimePower(f"q = {q} is not a prime power >= 2")
-    p = None
-    d = 2
-    m = q
-    while d * d <= m:
-        if m % d == 0:
-            p = d
-            break
-        d += 1
-    if p is None:
-        return q, 1
-    k = 0
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise NotPrimePower(f"q = {q} is not a prime power")
-    return p, k
+    if q >= Q_LIMIT:
+        raise ConfigError(f"q = {q} is not below the supported limit {Q_LIMIT}")
+    for k in range(1, q.bit_length()):
+        p = _integer_root(q, k)
+        if p ** k == q and _is_prime(p):
+            return p, k
+    raise NotPrimePower(f"q = {q} is not a prime power")
 
 
 @dataclass(frozen=True)
@@ -91,8 +127,9 @@ class CoverDatum:
     q_upper: Mat
     bilinear: Mat
     residue_char: int
-    group_elements: tuple[Mat, ...]
-    inertia_elements: tuple[Mat, ...]
+    orbit: tuple[tuple[int, ...], ...]
+    group_perms: frozenset[Perm]
+    inertia_perms: frozenset[Perm]
     e: int
     gamma_exponent: int
 
@@ -102,7 +139,21 @@ class CoverDatum:
 
     @property
     def group_order(self) -> int:
-        return len(self.group_elements)
+        return len(self.group_perms)
+
+    def _matrices(self, perms: frozenset[Perm]) -> tuple[Mat, ...]:
+        """The matrices of `perms`, sorted by entries: column j is the image of e_j."""
+        mats = (Mat.from_columns([self.orbit[x[j]] for j in range(self.rank)],
+                                 rows=self.rank) for x in perms)
+        return tuple(sorted(mats, key=lambda m: m.entries))
+
+    @cached_property
+    def group_elements(self) -> tuple[Mat, ...]:
+        return self._matrices(self.group_perms)
+
+    @cached_property
+    def inertia_elements(self) -> tuple[Mat, ...]:
+        return self._matrices(self.inertia_perms)
 
 
 def parse_matrix(obj: object, what: str, cols: Optional[int] = None,
@@ -127,47 +178,87 @@ def parse_matrix(obj: object, what: str, cols: Optional[int] = None,
     return Mat.from_rows(obj, cols=cols)
 
 
-def _close_group(gens: Sequence[Mat], rank: int, cap: int) -> tuple[Mat, ...]:
-    """Multiplicative closure of the generators; raises GroupNotFinite at cap.
+def _mod3_test(residue: object, key: object, seen: dict) -> None:
+    """Raise GroupNotFinite when a different element already had `residue`.
 
     The kernel of GL_r(Z) -> GL_r(Z/3) is torsion free (Minkowski), so a
     finite group embeds mod 3: two distinct elements with the same
     reduction prove the group infinite.
     """
-    elems = {Mat.identity(rank)}
-    residues = {m.entries for m in elems}  # the identity is reduced mod 3
-    frontier = sorted(elems, key=lambda m: m.entries)
-    gens = [g for g in gens]
+    if seen.setdefault(residue, key) != key:
+        raise GroupNotFinite("group is infinite: two elements agree mod 3")
+
+
+def _cap_exceeded(cap: int) -> GroupNotFinite:
+    return GroupNotFinite(f"group closure exceeded the cap of {cap} elements")
+
+
+def _basis_orbit(gens: Sequence[Mat], rank: int,
+                 cap: int) -> tuple[tuple[tuple[int, ...], ...], list[Perm]]:
+    """The orbit of e_1..e_r (listed first) and each generator as a permutation of it.
+
+    Every new point w = g t e_j gets the group element g t as its
+    transversal, and the transversals go through the mod-3 test, so an
+    infinite group ends here rather than after rank * cap points.  A
+    finite group has orbits of at most |G| points each.
+    """
+    ident = Mat.identity(rank)
+    orbit = [ident.col(j) for j in range(rank)]
+    index = {w: i for i, w in enumerate(orbit)}
+    transversal = [ident] * rank
+    seen: dict = {}
+    _mod3_test(tuple(v % 3 for v in ident.entries), ident.entries, seen)
+    images: list[list[int]] = [[] for _ in gens]
+    for i, w in enumerate(orbit):  # the loop visits the points it appends
+        for g, row in zip(gens, images):
+            y = g.apply(w)
+            if y not in index:
+                t = g @ transversal[i]
+                _mod3_test(tuple(v % 3 for v in t.entries), t.entries, seen)
+                index[y] = len(orbit)
+                orbit.append(y)
+                transversal.append(t)
+                if len(orbit) > rank * cap:
+                    raise _cap_exceeded(cap)
+            row.append(index[y])
+    return tuple(orbit), [tuple(row) for row in images]
+
+
+def _close(elems: set[Perm], frontier: list[Perm], gens: Sequence[Perm],
+           residue, seen: dict, cap: int) -> None:
+    """Add to `elems` every product of a frontier element with the generators.
+
+    The product x @ g of permutations of the orbit is x[g[i]] at i.  Each
+    new element passes the mod-3 test on `residue`, its basis images mod 3.
+    """
     while frontier:
         fresh = []
         for x in frontier:
             for g in gens:
-                y = x @ g
+                y = tuple(map(x.__getitem__, g))
                 if y not in elems:
-                    residue = tuple(v % 3 for v in y.entries)
-                    if residue in residues:
-                        raise GroupNotFinite(
-                            "group is infinite: two elements agree mod 3")
-                    residues.add(residue)
+                    _mod3_test(residue(y), y, seen)
                     elems.add(y)
                     fresh.append(y)
                     if len(elems) > cap:
-                        raise GroupNotFinite(
-                            f"group closure exceeded the cap of {cap} elements")
-        frontier = sorted(fresh, key=lambda m: m.entries)
-    return tuple(sorted(elems, key=lambda m: m.entries))
+                        raise _cap_exceeded(cap)
+        frontier = fresh
 
 
-def _matrix_order(a: Mat, cap: int) -> int:
-    ident = Mat.identity(a.rows)
-    p = a
-    k = 1
-    while p != ident:
-        p = p @ a
-        k += 1
-        if k > cap:
-            raise GroupNotFinite("element order exceeded the group cap")
-    return k
+def _perm_order(x: Perm) -> int:
+    """The lcm of the cycle lengths."""
+    order = 1
+    unseen = set(range(len(x)))
+    while unseen:
+        i = unseen.pop()
+        length = 1
+        j = x[i]
+        while j != i:
+            unseen.discard(j)
+            j = x[j]
+            length += 1
+        order = lcm(order, length)
+    return order
 
 
 def fold_upper(m: Mat) -> Mat:
@@ -241,24 +332,32 @@ def validate(config: Mapping[str, object], *,
         if any(twisted[i, i] != q_upper[i, i] for i in range(rank)):
             raise FormNotInvariant(f"quadratic form not invariant under {which}")
 
-    inertia_elements = _close_group(inertia_gens, rank, closure_cap)
-    e = len(inertia_elements)
-    group_elements = _close_group(inertia_gens + (frobenius,), rank, closure_cap)
+    orbit, perms = _basis_orbit(inertia_gens + (frobenius,), rank, closure_cap)
+    residues = [tuple(v % 3 for v in w) for w in orbit]
 
-    inertia_set = set(inertia_elements)
-    frob_inv = matrix_inverse_unimodular(frobenius)
-    for i, g in enumerate(inertia_gens):
-        if frobenius @ g @ frob_inv not in inertia_set:
+    def residue(x: Perm) -> tuple:
+        return tuple(map(residues.__getitem__, x[:rank]))
+
+    ident = tuple(range(len(orbit)))
+    seen: dict = {residue(ident): ident}
+    inertia = {ident}
+    _close(inertia, [ident], perms[:-1], residue, seen, closure_cap)
+    e = len(inertia)
+    group = set(inertia)
+    _close(group, list(inertia), perms, residue, seen, closure_cap)
+
+    frob = perms[-1]
+    frob_inv = [0] * len(frob)
+    for i, j in enumerate(frob):
+        frob_inv[j] = i
+    for i, g in enumerate(perms[:-1]):
+        if tuple(frob[g[j]] for j in frob_inv) not in inertia:
             raise InertiaNotNormalized(
                 f"frobenius does not normalize the inertia group (generator {i})")
 
     if not allow_gcd_violation and gcd(n, e) != 1:
         raise RamificationGcdError(
             f"cover degree n = {n} shares a factor with the ramification index e = {e}")
-
-    exponent = 1
-    for a in group_elements:
-        exponent = lcm(exponent, _matrix_order(a, closure_cap))
 
     return CoverDatum(
         rank=rank,
@@ -269,10 +368,11 @@ def validate(config: Mapping[str, object], *,
         q_upper=q_upper,
         bilinear=bilinear,
         residue_char=p,
-        group_elements=group_elements,
-        inertia_elements=inertia_elements,
+        orbit=orbit,
+        group_perms=frozenset(group),
+        inertia_perms=frozenset(inertia),
         e=e,
-        gamma_exponent=exponent,
+        gamma_exponent=lcm(*map(_perm_order, group)),
     )
 
 

@@ -26,6 +26,10 @@ class NTorsionViolation(RuntimeError):
     """Internal invariant failed: an invariant factor does not divide n."""
 
 
+class LevelError(ValueError):
+    """A level or a stabilization policy setting below 1."""
+
+
 class NotStabilized(RuntimeError):
     """The level-doubling loop hit max_level without the required agreement."""
 
@@ -62,11 +66,11 @@ class StabilizationPolicy:
 
     def __post_init__(self) -> None:
         if self.start_level is not None and self.start_level < 1:
-            raise ValueError("start_level must be >= 1")
+            raise LevelError("start_level must be >= 1")
         if self.stable_repeats < 1:
-            raise ValueError("stable_repeats must be >= 1")
+            raise LevelError("stable_repeats must be >= 1")
         if self.max_level < 1:
-            raise ValueError("max_level must be >= 1")
+            raise LevelError("max_level must be >= 1")
 
 
 def _twisted_conditions(d: CoverDatum, sub: Sublattice) -> SmithDecomposition:
@@ -84,7 +88,7 @@ def _twisted_conditions(d: CoverDatum, sub: Sublattice) -> SmithDecomposition:
 def _points(d: CoverDatum, conditions: SmithDecomposition, m: int) -> LevelGroup:
     """The level-m invariant points read off the level-free `conditions`."""
     if m < 1:
-        raise ValueError("level must be >= 1")
+        raise LevelError("level must be >= 1")
     n_mod = d.q ** m - 1
     return LevelGroup(m, n_mod, congruence_lattice(conditions, n_mod))
 

@@ -27,6 +27,22 @@ def load_config(name: str) -> dict:
     return json.loads((CONFIG_DIR / f"{name}.json").read_text())
 
 
+def permutation_group_config(family: str, r: int) -> dict:
+    """B_r (signed permutations) or S_r on Z^r, all of it as inertia."""
+    def perm(images, signs=None):
+        rows = [[0] * r for _ in range(r)]
+        for i, p in enumerate(images):
+            rows[p][i] = signs[i] if signs else 1
+        return rows
+
+    cycle = perm([(i + 1) % r for i in range(r)])
+    gens = [perm([1, 0] + list(range(2, r))), cycle]
+    if family == "B":
+        gens.append(perm(list(range(r)), [-1] + [1] * (r - 1)))
+    return {"rank": r, "inertia_gens": gens, "frobenius": cycle,
+            "q": 23, "n": 11, "Q_upper": perm(list(range(r)))}
+
+
 @pytest.fixture(scope="session")
 def bundled_configs() -> dict:
     return {p.stem: json.loads(p.read_text())

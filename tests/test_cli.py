@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 import warnings
 from unittest import mock
 
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from packetgroup import oracle
 from packetgroup.cli import _load_config, main
+from packetgroup.datum import Q_LIMIT
 
 from conftest import CONFIG_DIR
 
@@ -88,6 +90,12 @@ def test_hilbert_cli(capsys):
     code, out = run_cli(capsys, "hilbert", "--q", "7", "--n", "4",
                         "--a", "0,0", "--b", "0,0")
     assert code == 2  # 4 does not divide 6
+    for pair in ("x,1", "1", "1,2,3"):
+        code, out = run_cli(capsys, "hilbert", "--q", "7", "--n", "3",
+                            "--a", pair, "--b", "0,1")
+        assert code == 2
+        assert json.loads(out)["error"] == {"kind": "SymbolError",
+                                            "message": f"expected 'v,u', got {pair!r}"}
 
 
 def test_commutator_cli(capsys):
@@ -214,7 +222,9 @@ def test_oracle_mismatch_exit_code(capsys, monkeypatch):
     (oracle.NotASubgroup("generators do not close"), 4),
     (oracle.AmbiguousOrderProfile("order profiles coincide"), 4),
     (oracle.CapExceeded("enumeration cap exceeded"), 2),
-], ids=["AssertionError", "NotASubgroup", "AmbiguousOrderProfile", "CapExceeded"])
+    (ValueError("not a documented input error"), 4),
+], ids=["AssertionError", "NotASubgroup", "AmbiguousOrderProfile", "CapExceeded",
+        "ValueError"])
 def test_internal_error_exit_codes(capsys, monkeypatch, error, exit_code):
     # self-check and oracle failures are reported, never a bare traceback
     def failing(*args, **kwargs):
@@ -291,3 +301,34 @@ def test_stdin_config(capsys, monkeypatch, tmp_path):
     code, out = run_cli(capsys, "packet-group", "-")
     assert code == 0
     assert json.loads(out)["results"]["invariant_factors"] == []
+
+
+def test_level_errors_exit_2(capsys):
+    swap = str(CONFIG_DIR / "swap_q3_n2.json")
+    for argv, message in ((("packet-group", swap, "--level", "0"), "start_level must be >= 1"),
+                          (("packet-group", swap, "--max-level", "0"), "max_level must be >= 1"),
+                          (("oracle-check", swap, "--level", "0"), "level must be >= 1")):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert json.loads(out)["error"] == {"kind": "LevelError", "message": message}
+
+
+def test_large_q_bounded_time(capsys, monkeypatch):
+    def run_validate(q):
+        cfg = {"rank": 1, "inertia_gens": [], "frobenius": [[1]],
+               "q": q, "n": 1, "Q_upper": [[1]]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(cfg)))
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "validate", "-")
+        assert time.perf_counter() - start < 1.0, q
+        return code, json.loads(out)
+
+    for q, p in ((2 ** 61 - 1, 2 ** 61 - 1), ((2 ** 31 - 1) ** 2, 2 ** 31 - 1)):
+        code, report = run_validate(q)
+        assert code == 0 and report["results"]["residue_char"] == p
+    code, report = run_validate((2 ** 61 - 1) * 1009)
+    assert code == 2 and report["error"]["kind"] == "NotPrimePower"
+    for q in (Q_LIMIT, 2 ** 89 - 1):
+        code, report = run_validate(q)
+        assert code == 2 and report["error"]["kind"] == "ConfigError"
+        assert "supported limit" in report["error"]["message"]

@@ -2,16 +2,17 @@
 
 import random
 from itertools import product
+from math import lcm
 
 from packetgroup.cohomology import (FrobModule, ShortExactSequence, connecting,
                                     exactness_failures, h0_h1, h1_class,
                                     image_of_connecting, residue_sharp_sequence)
-from packetgroup.datum import validate
+from packetgroup.datum import conjugated_config, validate
 from packetgroup.linalg import Mat, Sublattice, quotient_invariants
 from packetgroup.oracle import brute_quotient, subgroup_from_generators
-from packetgroup.randomgen import random_unimodular, random_valid_datum
+from packetgroup.randomgen import random_config, random_unimodular, random_valid_datum
 
-from conftest import load_config
+from conftest import load_config, permutation_group_config
 
 
 def test_residue_sequence_exact_at_every_small_level():
@@ -105,3 +106,51 @@ def test_connecting_against_lift_enumeration_residue():
     # the connecting map is onto h1 of the left term, so the value set is
     # the whole group of classes
     assert len(values) == h0_h1(ses.left)[1].order
+
+
+def _matrix_closure(gens, r):
+    """Every product of the generators, by breadth-first search on matrices."""
+    ident = Mat.identity(r)
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = g @ x
+                if y not in elems:
+                    elems.add(y)
+                    fresh.append(y)
+        assert len(elems) <= 10 ** 4, "test closure is meant for small groups"
+        frontier = fresh
+    return elems
+
+
+def _matrix_order(a):
+    ident = Mat.identity(a.rows)
+    power, k = a, 1
+    while power != ident:
+        power, k = power @ a, k + 1
+    return k
+
+
+def test_group_closure_against_matrix_closure(bundled_configs):
+    # validate closes the group on permutations of the basis-vector orbit;
+    # this closure multiplies matrices and shares no code with it
+    rng = random.Random(4242)
+    configs = list(bundled_configs.values())
+    configs += [random_config(rng, ranks=(1, 2, 3, 4)) for _ in range(100)]
+    for family, r in (("S", 3), ("S", 4), ("B", 2), ("B", 3), ("B", 4)):
+        configs.append(conjugated_config(permutation_group_config(family, r),
+                                         random_unimodular(rng, r)))
+    for cfg in configs:
+        r = cfg["rank"]
+        inertia_gens = [Mat.from_rows(g, cols=r) for g in cfg["inertia_gens"]]
+        gens = inertia_gens + [Mat.from_rows(cfg["frobenius"], cols=r)]
+        group = _matrix_closure(gens, r)
+        inertia = _matrix_closure(inertia_gens, r)
+        d = validate(cfg)
+        assert d.group_elements == tuple(sorted(group, key=lambda m: m.entries))
+        assert d.inertia_elements == tuple(sorted(inertia, key=lambda m: m.entries))
+        assert d.group_order == len(group) and d.e == len(inertia)
+        assert d.gamma_exponent == lcm(*map(_matrix_order, group))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -10,7 +11,7 @@ from packetgroup.datum import (ConfigError, DeterminantError, FormNotInvariant,
 from packetgroup.linalg import Mat
 from packetgroup.randomgen import random_unimodular
 
-from conftest import load_config
+from conftest import load_config, permutation_group_config
 
 
 def test_validate_swap_example():
@@ -61,6 +62,40 @@ def test_group_not_finite():
     for frobenius in ([[2, 1], [1, 1]], [[1, 1], [0, 1]]):
         with pytest.raises(GroupNotFinite, match="mod 3"):
             validate(dict(cfg, frobenius=frobenius))
+
+
+def test_finite_group_with_orbit_vectors_agreeing_mod_3():
+    # g sends e_1 to (1, 3), which agrees with e_1 mod 3, yet g has order 2:
+    # the mod-3 test must compare group elements, not orbit vectors
+    cfg = {"rank": 2, "inertia_gens": [], "frobenius": [[1, 0], [3, -1]],
+           "q": 3, "n": 1, "Q_upper": [[0, 0], [0, 0]]}
+    d = validate(cfg)
+    assert d.group_order == 2 and d.gamma_exponent == 2 and d.e == 1
+    assert d.group_elements == (Mat.from_rows([[1, 0], [0, 1]]),
+                                Mat.from_rows([[1, 0], [3, -1]]))
+    with pytest.raises(GroupNotFinite, match="cap of 1 elements"):
+        validate(cfg, closure_cap=1)
+
+
+@pytest.mark.parametrize("family,r,order,exponent,budget_s", [
+    ("S", 7, 5040, 420, 5.0),
+    ("B", 6, 46080, 120, 5.0),
+])
+def test_permutation_group_closed_forms(family, r, order, exponent, budget_s):
+    # |S_r| = r!, exponent lcm(1..r); |B_r| = 2^r r!, exponent twice that
+    start = time.perf_counter()
+    d = validate(permutation_group_config(family, r))
+    elapsed = time.perf_counter() - start
+    assert (d.group_order, d.gamma_exponent, d.e) == (order, exponent, order)
+    assert elapsed < budget_s, f"{family}_{r} closure took {elapsed:.1f} s"
+
+
+def test_closure_cap_counts_group_elements():
+    # B_3 has 48 elements on an orbit of 6 vectors
+    cfg = permutation_group_config("B", 3)
+    assert validate(cfg, closure_cap=48).group_order == 48
+    with pytest.raises(GroupNotFinite, match="cap of 47 elements"):
+        validate(cfg, closure_cap=47)
 
 
 def test_form_not_invariant():

@@ -5,9 +5,9 @@ import pytest
 from packetgroup.datum import conjugated_config, validate
 from packetgroup.linalg import LatticeError, Mat, Sublattice, quotient_invariants
 from packetgroup.randomgen import random_unimodular, random_valid_datum
-from packetgroup.residue import (LevelGroup, NotStabilized, StabilizationPolicy,
-                                 invariant_points, iota_image, packet_group,
-                                 packet_group_level)
+from packetgroup.residue import (LevelError, LevelGroup, NotStabilized,
+                                 StabilizationPolicy, invariant_points, iota_image,
+                                 packet_group, packet_group_level)
 from packetgroup.sharp import y_gamma_sharp, y_sharp
 
 from conftest import (BUNDLED_EXPECTED_S, RAMIFIED_R1_LEVEL_S, SWAP_LEVEL_S,
@@ -107,11 +107,11 @@ def test_not_stabilized():
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(LevelError):
         StabilizationPolicy(start_level=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(LevelError):
         StabilizationPolicy(stable_repeats=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(LevelError):
         StabilizationPolicy(max_level=0)
 
 
