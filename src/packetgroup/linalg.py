@@ -11,9 +11,11 @@ bases are identical, so lattice equality is plain value equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
+from itertools import chain
 from math import gcd, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -49,7 +51,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 @dataclass(frozen=True)
 class Mat:
-    """Immutable integer matrix, row-major entries."""
+    """Immutable integer matrix, row-major entries.
+
+    The columns are sliced out once per instance and kept; equality and
+    hashing still see only rows, cols and entries.
+    """
 
     rows: int
     cols: int
@@ -60,8 +66,17 @@ class Mat:
             raise LatticeError("negative dimensions")
         if len(self.entries) != self.rows * self.cols:
             raise LatticeError("entry count does not match dimensions")
-        if not all(type(x) is int for x in self.entries):
+        # every entry's type is int itself: bools and floats are rejected
+        if list(map(type, self.entries)).count(int) != len(self.entries):
             raise LatticeError("entries must be integers")
+
+    @cached_property
+    def _columns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(self.entries[j::self.cols] for j in range(self.cols))
+
+    def _row_tuples(self) -> list[tuple[int, ...]]:
+        c = self.cols
+        return [self.entries[i * c:(i + 1) * c] for i in range(self.rows)]
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "Mat":
@@ -74,8 +89,7 @@ class Mat:
                 raise LatticeError("row length differs from the given column count")
         else:
             width = 0 if cols is None else cols
-        flat = tuple(x for r in rows for x in r)
-        return cls(len(rows), width, flat)
+        return cls(len(rows), width, tuple(chain.from_iterable(rows)))
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "Mat":
@@ -88,8 +102,7 @@ class Mat:
                 raise LatticeError("column length differs from the given row count")
         else:
             height = 0 if rows is None else rows
-        flat = tuple(columns[j][i] for i in range(height) for j in range(len(columns)))
-        return cls(height, len(columns), flat)
+        return cls(height, len(columns), tuple(chain.from_iterable(zip(*columns))))
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -106,38 +119,35 @@ class Mat:
         return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
+        if not 0 <= i < self.rows:
+            raise IndexError(i)
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
     def col(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        if not 0 <= j < self.cols:
+            raise IndexError(j)
+        return self._columns[j]
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [list(r) for r in self._row_tuples()]
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.col(j) for j in range(self.cols)]
+        return list(self._columns)
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   tuple(self.entries[i * self.cols + j]
-                         for j in range(self.cols) for i in range(self.rows)))
+        return Mat(self.cols, self.rows, tuple(chain.from_iterable(self._columns)))
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise LatticeError("dimension mismatch in product")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum(ri[k] * other.entries[k * other.cols + j]
-                               for k in range(self.cols)))
-        return Mat(self.rows, other.cols, tuple(out))
+        cols = other._columns
+        return Mat(self.rows, other.cols,
+                   tuple([sum(map(mul, r, c)) for r in self._row_tuples() for c in cols]))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise LatticeError("vector length mismatch")
-        return tuple(sum(self.row(i)[k] * vec[k] for k in range(self.cols))
-                     for i in range(self.rows))
+        return tuple([sum(map(mul, r, vec)) for r in self._row_tuples()])
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -154,8 +164,9 @@ class Mat:
     def hstack(self, other: "Mat") -> "Mat":
         if self.rows != other.rows:
             raise LatticeError("row mismatch in hstack")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return Mat.from_rows(rows, cols=self.cols + other.cols)
+        return Mat(self.rows, self.cols + other.cols,
+                   tuple(chain.from_iterable(map(tuple.__add__, self._row_tuples(),
+                                                 other._row_tuples()))))
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
@@ -176,7 +187,7 @@ class Mat:
         n = self.rows
         if n == 0:
             return 1
-        a = [list(self.row(i)) for i in range(n)]
+        a = self.to_rows()
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -199,8 +210,7 @@ class Mat:
         return self.is_square and abs(self.det()) == 1
 
     def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(str(x) for x in self.row(i))
-                               for i in range(self.rows)) + "]"
+        return "[" + "; ".join(" ".join(map(str, r)) for r in self._row_tuples()) + "]"
 
 
 def _row_hnf(rows: Iterable[Sequence[int]]) -> list[list[int]]:
@@ -248,7 +258,7 @@ def _row_hnf(rows: Iterable[Sequence[int]]) -> list[list[int]]:
 
 def column_hnf(m: Mat) -> Mat:
     """Canonical column HNF of the column span of `m` (zero columns dropped)."""
-    reduced = _row_hnf(m.col(j) for j in range(m.cols))
+    reduced = _row_hnf(m._columns)
     return Mat.from_columns(reduced, rows=m.rows)
 
 
@@ -269,7 +279,7 @@ def smith(m: Mat) -> SmithDecomposition:
     i < len(d) and 0 beyond.
     """
     nr, nc = m.rows, m.cols
-    a = [list(m.row(i)) for i in range(nr)]
+    a = m.to_rows()
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
@@ -348,11 +358,10 @@ def smith(m: Mat) -> SmithDecomposition:
     d = tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i])
     dec = SmithDecomposition(d, Mat.from_rows(u, cols=nr), Mat.from_rows(v, cols=nc))
     if __debug__:
-        check = dec.U @ m @ dec.V
-        for i in range(nr):
-            for j in range(nc):
-                want = d[i] if i == j and i < len(d) else 0
-                assert check[i, j] == want, "smith decomposition failed to verify"
+        want = [0] * (nr * nc)
+        for i, x in enumerate(d):
+            want[i * nc + i] = x
+        assert (dec.U @ m @ dec.V).entries == tuple(want), "smith decomposition failed to verify"
     return dec
 
 
@@ -364,10 +373,9 @@ def solve_columns(b: Mat, target: Mat) -> Optional[Mat]:
     rank = len(dec.d)
     ut = dec.U @ target
     cols = []
-    for j in range(target.cols):
+    for col in ut._columns:
         y = [0] * b.cols
-        for i in range(b.rows):
-            val = ut[i, j]
+        for i, val in enumerate(col):
             if i < rank:
                 q, r = divmod(val, dec.d[i])
                 if r:
@@ -388,10 +396,15 @@ def solve_modulo(m: Mat, target: Mat, lattice: "Sublattice") -> Optional[Mat]:
 
 @dataclass(frozen=True)
 class Sublattice:
-    """A sublattice of Z^ambient_rank in canonical column HNF basis."""
+    """A sublattice of Z^ambient_rank in canonical column HNF basis.
+
+    The pivot row of each basis column is found once, by the canonical-form
+    check, and kept for membership tests; it takes no part in equality.
+    """
 
     ambient_rank: int
     basis: Mat
+    _pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         b = self.basis
@@ -400,8 +413,7 @@ class Sublattice:
         if b.cols > self.ambient_rank:
             raise LatticeError("more basis vectors than ambient rank")
         pivots = []
-        for j in range(b.cols):
-            col = b.col(j)
+        for col in b._columns:
             p = next((i for i, x in enumerate(col) if x), None)
             if p is None:
                 raise LatticeError("zero basis column")
@@ -411,9 +423,11 @@ class Sublattice:
         if any(p2 <= p1 for p1, p2 in zip(pivots, pivots[1:])):
             raise LatticeError("pivot rows not strictly increasing")
         for j, p in enumerate(pivots):
-            for j2 in range(b.cols):
-                if j2 != j and not (0 <= b[p, j2] < b[p, j]):
-                    raise LatticeError("pivot row not reduced")
+            row = b.row(p)
+            others = row[:j] + row[j + 1:]
+            if others and not (min(others) >= 0 and max(others) < row[j]):
+                raise LatticeError("pivot row not reduced")
+        object.__setattr__(self, "_pivots", tuple(pivots))
 
     @classmethod
     def from_columns(cls, ambient_rank: int, columns: Iterable[Sequence[int]]) -> "Sublattice":
@@ -450,26 +464,18 @@ class Sublattice:
     def is_full(self) -> bool:
         return self.rank == self.ambient_rank and self.basis.is_identity()
 
-    def _pivots(self) -> list[int]:
-        out = []
-        for j in range(self.basis.cols):
-            col = self.basis.col(j)
-            out.append(next(i for i, x in enumerate(col) if x))
-        return out
-
     def coords_of(self, vec: Sequence[int]) -> Optional[tuple[int, ...]]:
         """Coordinates of `vec` in the basis, or None if not a member."""
         if len(vec) != self.ambient_rank:
             raise AmbientMismatch("vector length differs from ambient rank")
         x = list(vec)
         coords = []
-        for j, p in enumerate(self._pivots()):
-            q, r = divmod(x[p], self.basis[p, j])
+        for p, col in zip(self._pivots, self.basis._columns):
+            q, r = divmod(x[p], col[p])
             if r:
                 return None
             coords.append(q)
             if q:
-                col = self.basis.col(j)
                 x = [xi - q * ci for xi, ci in zip(x, col)]
         if any(x):
             return None
@@ -481,8 +487,7 @@ class Sublattice:
     def contains(self, other: "Sublattice") -> bool:
         if other.ambient_rank != self.ambient_rank:
             raise AmbientMismatch("ambient ranks differ")
-        return all(self.contains_vector(other.basis.col(j))
-                   for j in range(other.rank))
+        return all(map(self.contains_vector, other.basis._columns))
 
     def image_under(self, a: Mat) -> "Sublattice":
         """The lattice a @ L inside Z^(a.rows)."""
@@ -501,25 +506,28 @@ class Sublattice:
         return preimage_lattice(self.basis, other).image_under(self.basis)
 
     def index_in_ambient(self) -> Optional[int]:
-        """|Z^r / L| when L is full rank, else None."""
+        """|Z^r / L| when L is full rank, else None.
+
+        A full-rank canonical basis is lower triangular with positive
+        pivots, so the index is their product.
+        """
         if self.rank != self.ambient_rank:
             return None
-        return abs(self.basis.det())
+        return prod(col[p] for p, col in zip(self._pivots, self.basis._columns))
 
     def reduce_vector(self, vec: Sequence[int]) -> tuple[int, ...]:
         """Canonical coset representative of `vec` modulo a full-rank lattice."""
         if self.rank != self.ambient_rank:
             raise LatticeError("coset reduction needs a full-rank lattice")
         x = list(vec)
-        for j in range(self.rank):
-            q = x[j] // self.basis[j, j]
+        for j, col in enumerate(self.basis._columns):
+            q = x[j] // col[j]
             if q:
-                col = self.basis.col(j)
                 x = [xi - q * ci for xi, ci in zip(x, col)]
         return tuple(x)
 
     def __str__(self) -> str:
-        cols = ", ".join(str(list(self.basis.col(j))) for j in range(self.rank))
+        cols = ", ".join(str(list(c)) for c in self.basis._columns)
         return f"<lattice rank {self.rank} in Z^{self.ambient_rank}: {cols}>"
 
 
@@ -531,8 +539,8 @@ def congruence_lattice(dec: SmithDecomposition, n: int) -> Sublattice:
     and the free columns past len(d) (Cohen, GTM 138, section 2.4).
     """
     d = dec.d
-    cols = [[(n // gcd(d[j], n) if j < len(d) else 1) * x for x in dec.V.col(j)]
-            for j in range(dec.V.cols)]
+    cols = [[(n // gcd(d[j], n) if j < len(d) else 1) * x for x in col]
+            for j, col in enumerate(dec.V._columns)]
     return Sublattice.from_columns(dec.V.rows, cols)
 
 
@@ -549,7 +557,7 @@ def preimage_lattice(m: Mat, target: Sublattice) -> Sublattice:
         return kernel_lattice(m)
     block = m.hstack(target.basis.scale(-1))
     ker = kernel_lattice(block)
-    cols = [ker.basis.col(j)[:m.cols] for j in range(ker.rank)]
+    cols = [c[:m.cols] for c in ker.basis._columns]
     return Sublattice.from_columns(m.cols, cols)
 
 
@@ -614,8 +622,8 @@ def quotient_invariants(sup: Sublattice, sub: Sublattice) -> FinAbGroup:
     if sup.ambient_rank != sub.ambient_rank:
         raise AmbientMismatch("ambient ranks differ")
     coords = []
-    for j in range(sub.rank):
-        c = sup.coords_of(sub.basis.col(j))
+    for col in sub.basis._columns:
+        c = sup.coords_of(col)
         if c is None:
             raise NotASublattice("second lattice is not contained in the first")
         coords.append(list(c))

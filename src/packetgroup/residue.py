@@ -47,8 +47,11 @@ class LevelGroup:
     lattice: Sublattice
 
     def __post_init__(self) -> None:
-        if not self.lattice.contains(
-                Sublattice.scaled(self.lattice.ambient_rank, self.modulus)):
+        k, n = self.lattice.ambient_rank, self.modulus
+        if n < 1:
+            raise LatticeError("modulus must be >= 1")
+        if not all(self.lattice.contains_vector([n if i == j else 0 for i in range(k)])
+                   for j in range(k)):
             raise LatticeError("lattice does not contain N Z^k")
 
     @property

@@ -2,6 +2,7 @@ import contextlib
 import gc
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -16,7 +17,7 @@ from packetgroup import oracle
 from packetgroup.cli import _load_config, main
 from packetgroup.datum import Q_LIMIT
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, REPO_ROOT
 
 
 def run_cli(capsys, *argv):
@@ -293,6 +294,20 @@ def test_console_script_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["value"] == 2
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_outputs_do_not_depend_on_debug_checks(capsys, name):
+    # `python -O` strips the assert-based self-checks (`smith` verifies its
+    # decomposition only under __debug__); no answer may depend on them.
+    src = str(REPO_ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for command in ("packet-group", "sharp"):
+        argv = [command, str(CONFIG_DIR / f"{name}.json")]
+        proc = subprocess.run([sys.executable, "-O", "-B", "-m", "packetgroup.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == run_cli(capsys, *argv)
 
 
 def test_stdin_config(capsys, monkeypatch, tmp_path):

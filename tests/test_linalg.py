@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import product
 from math import prod
 
@@ -30,6 +31,40 @@ def unimodulars(draw, dim):
     seed = draw(st.integers(0, 2 ** 32))
     from packetgroup.randomgen import random_unimodular
     return random_unimodular(random.Random(seed), dim, ops=8)
+
+
+@st.composite
+def shaped(draw, rows=None, cols=None, max_dim=4):
+    """Any r x c matrix, empty shapes included."""
+    r = draw(st.integers(0, max_dim)) if rows is None else rows
+    c = draw(st.integers(0, max_dim)) if cols is None else cols
+    return Mat(r, c, tuple(draw(st.lists(entries, min_size=r * c, max_size=r * c))))
+
+
+def naive_coords(columns, vec):
+    """The integer c with sum_j c_j columns[j] = vec, or None.
+
+    The columns must be linearly independent: Gaussian elimination over Q,
+    then a test that the unique rational solution is integral.
+    """
+    k = len(columns)
+    rows = [[Fraction(col[i]) for col in columns] + [Fraction(v)] for i, v in enumerate(vec)]
+    pivot_cols, r = [], 0
+    for c in range(k):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                rows[i] = [x - rows[i][c] * y for x, y in zip(rows[i], rows[r])]
+        pivot_cols.append(c)
+        r += 1
+    assert pivot_cols == list(range(k))
+    if any(row[k] for row in rows[k:]) or any(rows[i][k].denominator != 1 for i in range(k)):
+        return None
+    return tuple(int(rows[i][k]) for i in range(k))
 
 
 def as_fixed_point_actions(m):
@@ -129,10 +164,111 @@ def test_finabgroup_validation():
 
 
 def test_sublattice_canonical_rejects_noncanonical():
-    with pytest.raises(LatticeError):
-        Sublattice(2, Mat.from_columns([[0, 2], [1, 1]], rows=2))
-    with pytest.raises(LatticeError):
-        Sublattice(2, Mat.from_columns([[-1, 0]], rows=2))
+    for columns, message in (([[1, 0], [0, 0]], "zero basis column"),
+                             ([[-1, 0]], "negative pivot"),
+                             ([[0, 2], [1, 1]], "pivot rows not strictly increasing"),
+                             ([[1, 0], [2, 0]], "pivot rows not strictly increasing"),
+                             ([[2, 3], [0, 1]], "pivot row not reduced"),
+                             ([[2, -1], [0, 1]], "pivot row not reduced")):
+        with pytest.raises(LatticeError, match=f"^{message}$"):
+            Sublattice(2, Mat.from_columns(columns, rows=2))
+
+
+def test_row_and_col_reject_indices_outside_the_shape():
+    m = Mat.from_rows([[1, 2], [3, 4]])
+    assert (m.row(0), m.row(1), m.col(0), m.col(1)) == ((1, 2), (3, 4), (1, 3), (2, 4))
+    for bad in (-1, -2, 2, 5):
+        with pytest.raises(IndexError):
+            m.row(bad)
+        with pytest.raises(IndexError):
+            m.col(bad)
+    wide, tall = Mat.zeros(0, 3), Mat.zeros(3, 0)
+    assert wide.col(0) == wide.col(2) == () and tall.row(0) == tall.row(2) == ()
+    for bad in (-1, 0, 3):
+        with pytest.raises(IndexError):
+            wide.row(bad)
+        with pytest.raises(IndexError):
+            tall.col(bad)
+    for bad in (-1, 3):
+        with pytest.raises(IndexError):
+            wide.col(bad)
+        with pytest.raises(IndexError):
+            tall.row(bad)
+
+
+def test_column_cache_is_invisible_to_equality():
+    m, fresh = Mat.from_rows([[1, 2, 3], [4, 5, 6]]), Mat.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert m.columns() == [(1, 4), (2, 5), (3, 6)] and m.col(2) == (3, 6)
+    assert "_columns" in vars(m) and "_columns" not in vars(fresh)
+    assert m == fresh and hash(m) == hash(fresh) and len({m, fresh}) == 1
+    lat, fresh_lat = (Sublattice.from_columns(2, [[2, 1], [0, 3]]) for _ in range(2))
+    assert lat.contains_vector((2, 4)) and "_columns" in vars(lat.basis)
+    assert lat == fresh_lat and hash(lat) == hash(fresh_lat)
+
+
+@given(shaped(), st.data())
+@settings(deadline=None)
+def test_mat_operations_match_naive_definitions(m, data):
+    r, c, e = m.rows, m.cols, m.entries
+    other = data.draw(shaped(rows=c))
+    k = other.cols
+    prod_ = m @ other
+    assert (prod_.rows, prod_.cols) == (r, k)
+    assert prod_.entries == tuple(
+        sum(e[i * c + t] * other.entries[t * k + j] for t in range(c))
+        for i in range(r) for j in range(k))
+    vec = data.draw(st.lists(entries, min_size=c, max_size=c))
+    assert m.apply(vec) == tuple(sum(e[i * c + t] * vec[t] for t in range(c))
+                                 for i in range(r))
+    t = m.transpose()
+    assert (t.rows, t.cols) == (c, r)
+    assert t.entries == tuple(e[i * c + j] for j in range(c) for i in range(r))
+    naive_cols = [tuple(e[i * c + j] for i in range(r)) for j in range(c)]
+    assert m.columns() == naive_cols == [m.col(j) for j in range(c)]
+    assert [m.row(i) for i in range(r)] == [tuple(e[i * c:(i + 1) * c]) for i in range(r)]
+    assert m.to_rows() == [list(e[i * c:(i + 1) * c]) for i in range(r)]
+
+
+@given(st.integers(0, 4), st.data())
+@settings(deadline=None)
+def test_coords_and_contains_match_naive_definitions(k, data):
+    def lattice():
+        cols = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k), max_size=k))
+        return Sublattice.from_columns(k, cols)
+
+    lat = lattice()
+    basis = lat.basis.columns()
+    # a member: an integer combination of the basis has exactly those coordinates
+    c = data.draw(st.lists(entries, min_size=lat.rank, max_size=lat.rank))
+    member = [sum(cj * col[i] for cj, col in zip(c, basis)) for i in range(k)]
+    assert lat.coords_of(member) == tuple(c)
+    # any vector: a member iff its rational coordinates exist and are integers
+    vec = data.draw(st.lists(entries, min_size=k, max_size=k))
+    want = naive_coords(basis, vec)
+    assert lat.coords_of(vec) == want
+    assert lat.contains_vector(vec) == (want is not None)
+    other = lattice()
+    assert lat.contains(other) == all(naive_coords(basis, col) is not None
+                                      for col in other.basis.columns())
+
+
+@given(matrices())
+@settings(deadline=None, max_examples=50)
+def test_index_in_ambient_is_the_determinant(m):
+    lat = Sublattice.from_matrix(m)
+    if lat.rank < lat.ambient_rank:
+        assert lat.index_in_ambient() is None
+        return
+    assert lat.index_in_ambient() == abs(lat.basis.det())
+    if m.is_square:
+        assert lat.index_in_ambient() == abs(m.det())
+
+
+def test_index_in_ambient_examples():
+    assert Sublattice.full(0).index_in_ambient() == 1
+    assert Sublattice.scaled(3, 5).index_in_ambient() == 125
+    assert Sublattice.from_columns(2, [[2, 1], [0, 3]]).index_in_ambient() == 6
+    assert Sublattice.from_columns(2, [[2, 1]]).index_in_ambient() is None
 
 
 @given(matrices())
