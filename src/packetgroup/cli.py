@@ -23,7 +23,7 @@ from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice,
                      quotient_invariants)
 from .residue import (ContainmentViolation, LevelError, NTorsionViolation,
                       NotStabilized, StabilizationPolicy, invariant_points,
-                      iota_image, packet_group, packet_group_level)
+                      iota_image, level_modulus, packet_group, packet_group_level)
 from .sharp import fixed_lattice, radical_of_induced_form, y_gamma_sharp, y_sharp
 from .symbols import SymbolError, TameField, commutator, hilbert
 
@@ -238,7 +238,7 @@ def _cmd_oracle_check(args) -> dict:
     if args.oracle_cap is None:
         args.oracle_cap = args.cap
     m = args.level if args.level is not None else 1
-    n_mod = d.q ** m - 1
+    n_mod = level_modulus(d.q, m)
     checks: list[dict] = []
 
     def record(name: str, agree: bool, main_repr: Any, oracle_repr: Any) -> None:

@@ -19,7 +19,8 @@ from typing import ClassVar, Sequence
 from .datum import CoverDatum
 from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, fixed_points,
                      preimage_lattice, preimage_mod, quotient_invariants,
-                     restrict_endomorphism, solve_columns, solve_modulo)
+                     restrict_endomorphism, solve_modulo)
+from .residue import level_modulus
 from .sharp import y_sharp
 
 
@@ -291,7 +292,7 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
     exponent always works): from that level on, the Frobenius-fixed
     points of the right term are the full stabilized point group.
     """
-    n_mod = d.q ** m - 1
+    n_mod = level_modulus(d.q, m)
     big_mod = d.n * n_mod
     r = d.rank
     sharp_lat = y_sharp(d)
@@ -315,11 +316,10 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
     pushed = s @ w
     if any(x % d.n for x in pushed.entries):
         raise LatticeError("isogeny image is not divisible by n")
-    divided = Mat(pushed.rows, pushed.cols,
-                  tuple(x // d.n for x in pushed.entries))
-    proj = solve_columns(fixed_c.basis, divided)
-    if proj is None:
+    coords = [fixed_c.coords_of([x // d.n for x in c]) for c in pushed.columns()]
+    if None in coords:
         raise LatticeError("projected points are not inertia fixed")
+    proj = Mat.from_columns(coords, rows=fixed_c.rank)
 
     # left term: kernel of the projection, with the restricted Frobenius
     ker = preimage_lattice(proj, mod_c.relations)

@@ -1,12 +1,16 @@
 """Exact integer matrix and lattice algebra.
 
 Everything in this module is computed over arbitrary-precision integers;
-there is no floating point and no modular shortcut anywhere.  The one
-canonical form used throughout the package is the *column* Hermite normal
-form with the lower-triangular convention: pivot rows strictly increase,
-pivots are positive, each entry in a pivot row outside the pivot column is
-reduced into [0, pivot).  Two sublattices are equal iff their canonical
-bases are identical, so lattice equality is plain value equality.
+there is no floating point and no modular shortcut anywhere.  Lattices are
+kept in the *column* Hermite normal form with the lower-triangular
+convention: pivot rows strictly increase, pivots are positive, each entry in
+a pivot row outside the pivot column is reduced into [0, pivot); so lattice
+equality is plain value equality.  The HNF answers every question whose
+answer is a basis (spans, images, exact kernels and preimages, so `meet`),
+and back substitution on its pivots gives coordinates (`coords_of`,
+`restrict_endomorphism`).  The Smith form serves only where its diagonal is
+the answer: `quotient_invariants`, `congruence_lattice` (conditions mod n)
+and `solve_columns` (behind `solve_modulo` and matrix inversion).
 """
 
 from __future__ import annotations
@@ -546,19 +550,22 @@ def congruence_lattice(dec: SmithDecomposition, n: int) -> Sublattice:
 
 def kernel_lattice(m: Mat) -> Sublattice:
     """{x in Z^cols : m @ x = 0}, canonical."""
-    return congruence_lattice(smith(m), 0)
+    return preimage_lattice(m, Sublattice.zero(m.rows))
 
 
 def preimage_lattice(m: Mat, target: Sublattice) -> Sublattice:
-    """{x in Z^cols : m @ x in target}."""
+    """{x in Z^cols : m @ x in target}: the bottoms of the columns of the column
+    HNF of [[m, target], [I, 0]] whose top part vanished (Cohen, GTM 138, 2.4)."""
     if m.rows != target.ambient_rank:
         raise AmbientMismatch("matrix height differs from target ambient rank")
-    if target.rank == 0:
-        return kernel_lattice(m)
-    block = m.hstack(target.basis.scale(-1))
-    ker = kernel_lattice(block)
-    cols = [c[:m.cols] for c in ker.basis._columns]
-    return Sublattice.from_columns(m.cols, cols)
+    k, top = m.cols, m.rows
+    block = m.vstack(Mat.identity(k)).hstack(target.basis.vstack(Mat.zeros(k, target.rank)))
+    pre = Sublattice(k, Mat.from_columns(
+        [c[top:] for c in column_hnf(block)._columns if not any(c[:top])], rows=k))
+    if __debug__:
+        assert all(target.contains_vector(m.apply(c)) for c in pre.basis._columns), \
+            "preimage basis vector escapes the target"
+    return pre
 
 
 def preimage_mod(m: Mat, n: int) -> Sublattice:
@@ -637,7 +644,7 @@ def restrict_endomorphism(a: Mat, lattice: Sublattice) -> Mat:
     """Matrix of a|_lattice in the lattice basis; requires a @ L <= L."""
     if a.cols != lattice.ambient_rank or a.rows != lattice.ambient_rank:
         raise AmbientMismatch("endomorphism shape differs from ambient rank")
-    sol = solve_columns(lattice.basis, a @ lattice.basis)
-    if sol is None:
+    coords = [lattice.coords_of(c) for c in (a @ lattice.basis)._columns]
+    if None in coords:
         raise LatticeError("lattice is not stable under the endomorphism")
-    return sol
+    return Mat.from_columns(coords, rows=lattice.rank)

@@ -27,7 +27,23 @@ class NTorsionViolation(RuntimeError):
 
 
 class LevelError(ValueError):
-    """A level or a stabilization policy setting below 1."""
+    """A level or a stabilization policy setting below 1, or a level past the bit budget."""
+
+
+# The largest m * q.bit_length() for which q**m - 1 is formed: 2**24 bits
+# (2 MiB) bounds the time and memory of one level instead of a hang.
+LEVEL_BITS_LIMIT = 1 << 24
+
+
+def level_modulus(q: int, m: int) -> int:
+    """N = q**m - 1 at level m, once m >= 1 and N fits the bit budget."""
+    if m < 1:
+        raise LevelError("level must be >= 1")
+    bits = m * q.bit_length()
+    if bits > LEVEL_BITS_LIMIT:
+        raise LevelError(f"level {m} makes q**m - 1 up to {bits} bits long, "
+                         f"past the limit of {LEVEL_BITS_LIMIT} bits")
+    return q ** m - 1
 
 
 class NotStabilized(RuntimeError):
@@ -90,9 +106,7 @@ def _twisted_conditions(d: CoverDatum, sub: Sublattice) -> SmithDecomposition:
 
 def _points(d: CoverDatum, conditions: SmithDecomposition, m: int) -> LevelGroup:
     """The level-m invariant points read off the level-free `conditions`."""
-    if m < 1:
-        raise LevelError("level must be >= 1")
-    n_mod = d.q ** m - 1
+    n_mod = level_modulus(d.q, m)
     return LevelGroup(m, n_mod, congruence_lattice(conditions, n_mod))
 
 

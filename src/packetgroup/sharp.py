@@ -10,12 +10,12 @@ from __future__ import annotations
 
 from .datum import CoverDatum
 from .linalg import (FinAbGroup, LatticeError, Mat, NotASublattice, Sublattice,
-                     fixed_points, preimage_mod, quotient_invariants)
+                     fixed_point_conditions, kernel_lattice, preimage_mod, quotient_invariants)
 
 
 def fixed_lattice(d: CoverDatum) -> Sublattice:
     """Vectors fixed by every generator (inertia generators and Frobenius)."""
-    return fixed_points(d.generators, d.rank, 0)
+    return kernel_lattice(fixed_point_conditions(d.generators, d.rank))
 
 
 def sharp(b: Mat, n: int, target: Sublattice) -> Sublattice:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from packetgroup import oracle
 from packetgroup.cli import _load_config, main
 from packetgroup.datum import Q_LIMIT
+from packetgroup.residue import LEVEL_BITS_LIMIT
 
 from conftest import CONFIG_DIR, REPO_ROOT
 
@@ -299,7 +300,8 @@ def test_console_script_entry_point():
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
 def test_outputs_do_not_depend_on_debug_checks(capsys, name):
     # `python -O` strips the assert-based self-checks (`smith` verifies its
-    # decomposition only under __debug__); no answer may depend on them.
+    # decomposition and `preimage_lattice` its basis only under __debug__);
+    # no answer may depend on them.
     src = str(REPO_ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -320,10 +322,18 @@ def test_stdin_config(capsys, monkeypatch, tmp_path):
 
 def test_level_errors_exit_2(capsys):
     swap = str(CONFIG_DIR / "swap_q3_n2.json")
+    # q = 3 has 2 bits, so q**m - 1 at m = 2**40 would take up to 2**41 bits
+    huge = str(2 ** 40)
+    too_big = (f"level {huge} makes q**m - 1 up to {2 ** 41} bits long, "
+               f"past the limit of {LEVEL_BITS_LIMIT} bits")
     for argv, message in ((("packet-group", swap, "--level", "0"), "start_level must be >= 1"),
                           (("packet-group", swap, "--max-level", "0"), "max_level must be >= 1"),
-                          (("oracle-check", swap, "--level", "0"), "level must be >= 1")):
+                          (("oracle-check", swap, "--level", "0"), "level must be >= 1"),
+                          (("packet-group", swap, "--level", huge, "--max-level", huge), too_big),
+                          (("oracle-check", swap, "--level", huge), too_big)):
+        start = time.perf_counter()
         code, out = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
         assert code == 2, argv
         assert json.loads(out)["error"] == {"kind": "LevelError", "message": message}
 

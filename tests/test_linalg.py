@@ -418,3 +418,27 @@ def test_meet_join_containments(data):
     else:
         with pytest.raises(InfiniteQuotient):
             quotient_invariants(join, meet)
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_preimage_and_meet_are_complete(data):
+    # membership both ways on a box: a proper sublattice of the true answer
+    # (say of index 2) passes every containment check above but fails here
+    small = st.integers(-4, 4)
+
+    def vectors(k, count):
+        return st.lists(st.lists(small, min_size=k, max_size=k), min_size=count, max_size=count)
+
+    def lattice(k):
+        # up to k + 1 spanning columns, so rank-deficient lattices occur
+        return Sublattice.from_columns(k, data.draw(vectors(k, data.draw(st.integers(0, k + 1)))))
+
+    r, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    m = Mat.from_rows(data.draw(vectors(c, r)))
+    target, a = lattice(r), lattice(r)
+    pre, meet = preimage_lattice(m, target), a.meet(target)
+    for x in product(range(-3, 4), repeat=c):
+        assert pre.contains_vector(x) == target.contains_vector(m.apply(x)), x
+    for x in product(range(-3, 4), repeat=r):
+        assert meet.contains_vector(x) == (a.contains_vector(x) and target.contains_vector(x)), x
