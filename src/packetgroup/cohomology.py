@@ -84,14 +84,11 @@ class _FiniteModule:
             if mat.rows != k or mat.cols != k:
                 raise ModuleError(f"{name} shape differs from the presentation rank")
         self._check_scalars()
-        for name in self.ACTIONS:
-            reduced = _reduce_mat_mod(getattr(self, name), self.exponent) \
-                if self.exponent > 1 else Mat.zeros(k, k)
-            object.__setattr__(self, name, reduced)
         if gcd(self.order, self.q) != 1:
             raise ModuleError("group order must be prime to q")
         for name in self.ACTIONS:
-            mat = getattr(self, name)
+            mat = _reduce_mat_mod(getattr(self, name), self.exponent)
+            object.__setattr__(self, name, mat)
             if not _columns_in(mat @ r.basis, r):
                 raise ModuleError(f"{name} does not preserve the relation lattice")
             if preimage_lattice(mat, r) != r:
@@ -107,16 +104,13 @@ class _FiniteModule:
 
     @property
     def order(self) -> int:
-        idx = self.relations.index_in_ambient()
-        return idx if idx is not None else 0
+        return self.relations.index_in_ambient()
 
     @cached_property
     def exponent(self) -> int:
         return self.group().exponent
 
     def group(self) -> FinAbGroup:
-        if self.ambient_rank == 0:
-            return FinAbGroup.trivial()
         return quotient_invariants(Sublattice.full(self.ambient_rank), self.relations)
 
 
@@ -141,14 +135,15 @@ class TameCohomology:
     h1_twist: FinAbGroup
 
 
+def _h1_relations(m: FrobModule) -> Sublattice:
+    return m.relations.join(m.phi - Mat.identity(m.ambient_rank))
+
+
 def h0_h1(m: FrobModule) -> tuple[FinAbGroup, FinAbGroup]:
     """(ker(phi-1), coker(phi-1)) as invariant factors; orders agree."""
-    k = m.ambient_rank
-    delta = m.phi - Mat.identity(k)
-    kernel = preimage_lattice(delta, m.relations)
+    kernel = preimage_lattice(m.phi - Mat.identity(m.ambient_rank), m.relations)
     h0 = quotient_invariants(kernel, m.relations)
-    h1 = quotient_invariants(Sublattice.full(k), m.relations.join(delta)) if k \
-        else FinAbGroup.trivial()
+    h1 = quotient_invariants(Sublattice.full(m.ambient_rank), _h1_relations(m))
     if h0.order != h1.order:
         raise ModuleError("kernel and cokernel of phi-1 differ in size")
     return h0, h1
@@ -156,14 +151,7 @@ def h0_h1(m: FrobModule) -> tuple[FinAbGroup, FinAbGroup]:
 
 def tate_twist(m: FrobModule, k: int) -> FrobModule:
     """Same group, phi multiplied by q**k (inverse taken mod the exponent)."""
-    exponent = m.exponent
-    if exponent == 1:
-        return m
-    if k >= 0:
-        mult = pow(m.q, k, exponent)
-    else:
-        mult = pow(pow(m.q, -1, exponent), -k, exponent)
-    return FrobModule(m.relations, m.phi.scale(mult), m.q)
+    return FrobModule(m.relations, m.phi.scale(pow(m.q, k, m.exponent)), m.q)
 
 
 @dataclass(frozen=True)
@@ -203,10 +191,6 @@ def exactness_failures(ses: ShortExactSequence) -> tuple[str, ...]:
     if c.relations.join(g) != Sublattice.full(c.ambient_rank):
         problems.append("projection is not surjective")
     return tuple(problems)
-
-
-def _h1_relations(m: FrobModule) -> Sublattice:
-    return m.relations.join(m.phi - Mat.identity(m.ambient_rank))
 
 
 def h1_class(m: FrobModule, vec: Sequence[int]) -> tuple[int, ...]:
@@ -346,13 +330,12 @@ class TameModule(_FiniteModule):
     def __post_init__(self) -> None:
         super().__post_init__()
         exponent, r = self.exponent, self.relations
-        if exponent > 1:
-            sigma_e = _mat_pow_mod(self.sigma, self.e, exponent)
-            if not _columns_in(sigma_e - Mat.identity(self.ambient_rank), r):
-                raise ModuleError("sigma**e is not the identity on the module")
-            sigma_q = _mat_pow_mod(self.sigma, self.q, exponent)
-            if not _columns_in(self.phi @ self.sigma - sigma_q @ self.phi, r):
-                raise ModuleError("tame relation phi sigma = sigma**q phi fails")
+        sigma_e = _mat_pow_mod(self.sigma, self.e, exponent)
+        if not _columns_in(sigma_e - Mat.identity(self.ambient_rank), r):
+            raise ModuleError("sigma**e is not the identity on the module")
+        sigma_q = _mat_pow_mod(self.sigma, self.q, exponent)
+        if not _columns_in(self.phi @ self.sigma - sigma_q @ self.phi, r):
+            raise ModuleError("tame relation phi sigma = sigma**q phi fails")
 
     def _check_scalars(self) -> None:
         if self.e < 1:

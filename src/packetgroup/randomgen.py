@@ -15,6 +15,9 @@ from .datum import (CoverDatum, conjugated_config, fold_upper,
                     matrix_inverse_unimodular, validate)
 from .linalg import Mat, Sublattice
 
+# Residue field sizes drawn for random data.
+_DATUM_QS = (3, 5, 7, 13)
+
 
 def random_unimodular(rng: random.Random, r: int, ops: int = 6) -> Mat:
     """Product of random elementary row operations; determinant +-1."""
@@ -56,10 +59,10 @@ def _cycle_with_reverser(r: int, k: int) -> tuple[Mat, Mat]:
     return cycle, Mat.from_rows(rev, cols=r)
 
 
-def invariant_q_upper(rng: random.Random, group: tuple[Mat, ...], r: int,
-                      spread: int = 2) -> Mat:
-    """Upper-triangular form invariant under the group, by averaging."""
-    seed_rows = [[rng.randint(-spread, spread) if j >= i else 0 for j in range(r)]
+def invariant_q_upper(rng: random.Random, group: tuple[Mat, ...], r: int) -> Mat:
+    """Upper-triangular form invariant under the group, by averaging a seed
+    form with entries in [-2, 2]."""
+    seed_rows = [[rng.randint(-2, 2) if j >= i else 0 for j in range(r)]
                  for i in range(r)]
     q0 = Mat.from_rows(seed_rows, cols=r)
     total = Mat.zeros(r, r)
@@ -75,20 +78,19 @@ def _admissible_degrees(q: int, e: int, max_n: Optional[int] = None) -> list[int
     return out
 
 
-def random_split_config(rng: random.Random, *, ranks=(1, 2, 3, 4),
-                        qs=(3, 5, 7, 13), max_n: int = 12) -> dict:
-    """Split datum: trivial action, random invariant form and degree."""
-    r = rng.choice(list(ranks))
-    q = rng.choice(list(qs))
-    n = rng.choice(_admissible_degrees(q, 1, max_n))
+def random_split_config(rng: random.Random) -> dict:
+    """Split datum of rank 1..4: trivial action, random invariant form and
+    degree n <= 12."""
+    r = rng.choice((1, 2, 3, 4))
+    q = rng.choice(_DATUM_QS)
+    n = rng.choice(_admissible_degrees(q, 1, 12))
     ident = Mat.identity(r)
     q_upper = invariant_q_upper(rng, (ident,), r)
     return {"rank": r, "inertia_gens": [], "frobenius": ident.to_rows(),
             "q": q, "n": n, "Q_upper": q_upper.to_rows()}
 
 
-def random_config(rng: random.Random, *, ranks=(1, 2, 3), qs=(3, 5, 7, 13),
-                  max_n: Optional[int] = None,
+def random_config(rng: random.Random, *, ranks=(1, 2, 3),
                   force_gcd_violation: bool = False) -> dict:
     """Random valid datum configuration (or one violating gcd(n, e) = 1).
 
@@ -100,7 +102,7 @@ def random_config(rng: random.Random, *, ranks=(1, 2, 3), qs=(3, 5, 7, 13),
     """
     for _ in range(200):
         r = rng.choice(list(ranks))
-        q = rng.choice(list(qs))
+        q = rng.choice(_DATUM_QS)
         ident = Mat.identity(r)
         style = rng.choice(["split", "unramified", "abelian", "dihedral"])
         if force_gcd_violation and style in ("split", "unramified"):
@@ -134,7 +136,7 @@ def random_config(rng: random.Random, *, ranks=(1, 2, 3), qs=(3, 5, 7, 13),
             if not degrees:
                 continue
         else:
-            degrees = _admissible_degrees(q, probe.e, max_n)
+            degrees = _admissible_degrees(q, probe.e)
         base["n"] = rng.choice(degrees)
         if rng.random() < 0.4:
             # scaled identity form; invariant since the generators above
@@ -151,9 +153,9 @@ def random_valid_datum(rng: random.Random, **kw) -> CoverDatum:
     return validate(random_config(rng, **kw))
 
 
-def random_tame_module(rng: random.Random, *, qs=(3, 5, 7),
-                       max_order: int = 1000) -> TameModule:
-    """Random tame module built from scalar, shift, and mixed blocks.
+def random_tame_module(rng: random.Random) -> TameModule:
+    """Random tame module of order at most 1000 over q in {3, 5, 7}, built
+    from scalar, shift, and mixed blocks.
 
     Block types: trivial sigma with a random invertible phi; scalar sigma
     of order dividing both e and q - 1; a k-cycle shift with phi acting
@@ -161,7 +163,7 @@ def random_tame_module(rng: random.Random, *, qs=(3, 5, 7),
     power).  The presentation is then hidden behind a random unimodular
     change of basis.
     """
-    q = rng.choice(list(qs))
+    q = rng.choice((3, 5, 7))
     candidates = [e for e in (1, 2, 3, 4, 5, 6) if gcd(e, q) == 1]
     e = rng.choice(candidates)
     blocks: list[tuple[int, list[list[int]], list[list[int]]]] = []
@@ -176,7 +178,7 @@ def random_tame_module(rng: random.Random, *, qs=(3, 5, 7),
             k = rng.choice([k for k in (2, 3) if e % k == 0 and gcd(q, k) == 1] or [1])
         else:
             k = 1
-        if order * d ** k > max_order:
+        if order * d ** k > 1000:
             continue
         order *= d ** k
         if style == "plain" or k == 1 and style == "shift":

@@ -27,7 +27,8 @@ class NTorsionViolation(RuntimeError):
 
 
 class LevelError(ValueError):
-    """A level or a stabilization policy setting below 1, or a level past the bit budget."""
+    """A level or a stabilization policy setting below 1, a first level above
+    max_level, or a level past the bit budget."""
 
 
 # The largest m * q.bit_length() for which q**m - 1 is formed: 2**24 bits
@@ -137,15 +138,18 @@ def packet_group(d: CoverDatum,
 
     Levels m0, 2*m0, 4*m0, ... are evaluated until `stable_repeats`
     consecutive levels return the same invariant factors; m0 defaults to
-    the exponent of the generated matrix group.  Raises NotStabilized when
-    max_level is exceeded, never returning a silent answer.  Only
-    N = q**m - 1 depends on the level: the sharp lattices and the SNFs of
-    their twisted fixed-point conditions are computed once per call, and a
-    level costs gcds against N, HNFs and one quotient SNF.
+    the exponent of the generated matrix group.  Raises LevelError when m0
+    is above max_level, and NotStabilized when max_level is exceeded,
+    never returning a silent answer.  Only N = q**m - 1 depends on the
+    level: the sharp lattices and the SNFs of their twisted fixed-point
+    conditions are computed once per call, and a level costs gcds against
+    N, HNFs and one quotient SNF.
     """
+    m = policy.start_level if policy.start_level is not None else d.gamma_exponent
+    if m > policy.max_level:
+        raise LevelError(f"first level {m} is above max_level = {policy.max_level}")
     subs = (y_gamma_sharp(d), y_sharp(d))
     conditions = [_twisted_conditions(d, sub) for sub in subs]
-    m = policy.start_level if policy.start_level is not None else d.gamma_exponent
     trace: list[tuple[int, FinAbGroup]] = []
     while m <= policy.max_level:
         big, small = (_image(sub, _points(d, c, m)) for sub, c in zip(subs, conditions))

@@ -172,12 +172,13 @@ def dlog_table(q: int) -> tuple[int, ...]:
     raise SymbolError(f"no primitive root found for q = {q}")
 
 
-def steinberg_violations(f: TameField, valuation_range: int = 3) -> list[tuple[TameElt, TameElt]]:
+def steinberg_violations(f: TameField) -> list[tuple[TameElt, TameElt]]:
     """Pairs (a, 1-a) with nonzero symbol; expected empty.
 
     Unit pairs use the residue dlog table (prime q only).  For nonzero
     valuations, 1 - a is determined by (v, u) alone: it is 1 for v > 0
-    and -a for v < 0 up to a unit congruent to 1.
+    and -a for v < 0 up to a unit congruent to 1; valuations 1 <= |v| <= 3
+    are checked.
     """
     table = dlog_table(f.q)
     bad = []
@@ -187,7 +188,7 @@ def steinberg_violations(f: TameField, valuation_range: int = 3) -> list[tuple[T
         one_minus = f.element(0, table[(1 - residue) % f.q])
         if hilbert(f, a, one_minus):
             bad.append((a, one_minus))
-    for v in range(1, valuation_range + 1):
+    for v in range(1, 4):
         for u in range(f.q - 1):
             a = f.element(v, u)
             if hilbert(f, a, f.element(0, 0)):

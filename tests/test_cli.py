@@ -131,6 +131,13 @@ def test_cohomology_cli(capsys, tmp_path):
     report = json.loads(out)
     assert report["results"]["sizes"] == {"h0": 3, "h1": 9, "h2": 3}
     assert report["results"]["counting"] == {"n": -3, "skipped": "n must be >= 1"}
+    # the rank-0 module is the trivial group
+    path.write_text(json.dumps({"relations": [[]], "phi": [], "q": 3}))
+    code, out = run_cli(capsys, "cohomology", str(path))
+    assert code == 0
+    report = json.loads(out)
+    assert report["results"]["sizes"] == {"h0": 1, "h1": 1, "h2": 1}
+    assert report["results"]["counting"]["ok"] is True
 
 
 BAD_MODULES = [
@@ -322,6 +329,7 @@ def test_stdin_config(capsys, monkeypatch, tmp_path):
 
 def test_level_errors_exit_2(capsys):
     swap = str(CONFIG_DIR / "swap_q3_n2.json")
+    rot4 = str(CONFIG_DIR / "rot4_r2_q5_n4.json")
     # q = 3 has 2 bits, so q**m - 1 at m = 2**40 would take up to 2**41 bits
     huge = str(2 ** 40)
     too_big = (f"level {huge} makes q**m - 1 up to {2 ** 41} bits long, "
@@ -330,7 +338,12 @@ def test_level_errors_exit_2(capsys):
                           (("packet-group", swap, "--max-level", "0"), "max_level must be >= 1"),
                           (("oracle-check", swap, "--level", "0"), "level must be >= 1"),
                           (("packet-group", swap, "--level", huge, "--max-level", huge), too_big),
-                          (("oracle-check", swap, "--level", huge), too_big)):
+                          (("oracle-check", swap, "--level", huge), too_big),
+                          (("packet-group", swap, "--level", "8192"),
+                           "first level 8192 is above max_level = 4096"),
+                          # no --level: the first level is the group exponent 4
+                          (("packet-group", rot4, "--max-level", "2"),
+                           "first level 4 is above max_level = 2")):
         start = time.perf_counter()
         code, out = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0, argv

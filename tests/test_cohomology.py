@@ -197,6 +197,25 @@ def test_tame_module_validation():
     TameModule(Sublattice.scaled(2, 5), sigma, swap, 4, 3)
 
 
+def test_trivial_modules():
+    # rank 0, and exponent 1 with a sigma other than the identity
+    rank0 = FrobModule(Sublattice.full(0), Mat.zeros(0, 0), 3)
+    tame0 = TameModule(Sublattice.full(0), Mat.zeros(0, 0), Mat.zeros(0, 0), 1, 3)
+    swap = Mat.from_rows([[0, 1], [1, 0]])
+    tame1 = TameModule(Sublattice.full(2), swap, Mat.from_rows([[2, 1], [1, 1]]), 2, 5)
+    for m in (rank0, tame0, tame1):
+        k = m.ambient_rank
+        assert m.group().is_trivial and m.order == 1 and m.exponent == 1
+        assert all(getattr(m, name) == Mat.zeros(k, k) for name in m.ACTIONS)
+        assert all(g.is_trivial for g in h0_h1(m))
+        frob = FrobModule(m.relations, m.phi, m.q)
+        assert all(tate_twist(frob, j) == frob for j in (-3, 0, 2))
+    for m in (tame0, tame1):
+        assert tame_h(m).sizes == (1, 1, 1)
+        assert counting_checks(m, 1).ok
+        assert dual_module(m, 1).order == 1
+
+
 def test_tame_h_examples():
     m = TameModule(Sublattice.scaled(1, 5), Mat.identity(1), Mat.from_rows([[3]]), 1, 3)
     assert tame_h(m).sizes == (1, 5, 5)

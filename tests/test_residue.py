@@ -106,6 +106,14 @@ def test_not_stabilized():
     assert len(exc.value.trace) == 2
 
 
+def test_first_level_above_max_level():
+    d = validate(load_config("rot4_r2_q5_n4"))
+    for policy, first in ((StabilizationPolicy(start_level=8, max_level=4), 8),
+                          (StabilizationPolicy(max_level=2), d.gamma_exponent)):
+        with pytest.raises(LevelError, match=f"first level {first} is above max_level"):
+            packet_group(d, policy)
+
+
 def test_policy_validation():
     with pytest.raises(LevelError):
         StabilizationPolicy(start_level=0)
