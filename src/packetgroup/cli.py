@@ -47,11 +47,14 @@ def _group_factors(g: FinAbGroup) -> list[int]:
 
 
 def _load_config(path: str) -> Any:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as ex:
+        raise DatumError(f"config is not valid UTF-8: {ex}") from ex
     try:
         return json.loads(text)
     except json.JSONDecodeError as ex:

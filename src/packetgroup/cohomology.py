@@ -17,7 +17,7 @@ from math import gcd
 from typing import ClassVar, Sequence
 
 from .datum import CoverDatum
-from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, fixed_points,
+from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, fixed_point_conditions,
                      preimage_lattice, preimage_mod, quotient_invariants,
                      restrict_endomorphism, solve_modulo)
 from .residue import level_modulus
@@ -283,7 +283,7 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
     s = sharp_lat.basis
 
     # right term: inertia-fixed points of (Z/N)^r with twisted Frobenius
-    fixed_c = fixed_points(d.inertia_gens, r, n_mod)
+    fixed_c = preimage_mod(fixed_point_conditions(d.inertia_gens, r), n_mod)
     mod_c = _submodule(fixed_c, Sublattice.scaled(r, n_mod), d.frobenius, d.q, d.q)
 
     # middle term: inside the n*N-torsion of the sharp lattice, the
@@ -291,7 +291,7 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
     sharp_gens = [restrict_endomorphism(g, sharp_lat) for g in d.inertia_gens]
     sharp_frob = restrict_endomorphism(d.frobenius, sharp_lat)
     isogeny_pre = preimage_mod(s, d.n)
-    fixed_b = fixed_points(sharp_gens, r, big_mod)
+    fixed_b = preimage_mod(fixed_point_conditions(sharp_gens, r), big_mod)
     lat_b = isogeny_pre.meet(fixed_b)
     w = lat_b.basis
     mod_b = _submodule(lat_b, Sublattice.scaled(r, big_mod), sharp_frob, d.q, d.q)

@@ -286,6 +286,8 @@ def validate(config: Mapping[str, object], *,
     `allow_gcd_violation` is a test hook that admits data with
     gcd(n, e) != 1; every other check still runs.
     """
+    if closure_cap < 1:
+        raise ConfigError(f"closure_cap must be >= 1, got {closure_cap}")
     if not isinstance(config, Mapping):
         raise ConfigError("configuration must be a JSON object")
     for key in ("rank", "inertia_gens", "frobenius", "q", "n", "Q_upper"):

@@ -1,16 +1,20 @@
 """Exact integer matrix and lattice algebra.
 
-Everything in this module is computed over arbitrary-precision integers;
-there is no floating point and no modular shortcut anywhere.  Lattices are
-kept in the *column* Hermite normal form with the lower-triangular
-convention: pivot rows strictly increase, pivots are positive, each entry in
-a pivot row outside the pivot column is reduced into [0, pivot); so lattice
-equality is plain value equality.  The HNF answers every question whose
-answer is a basis (spans, images, exact kernels and preimages, so `meet`),
-and back substitution on its pivots gives coordinates (`coords_of`,
-`restrict_endomorphism`).  The Smith form serves only where its diagonal is
-the answer: `quotient_invariants`, `congruence_lattice` (conditions mod n)
-and `solve_columns` (behind `solve_modulo` and matrix inversion).
+Everything in this module is computed over arbitrary-precision integers,
+with no floating point.  Lattices are kept in the *column* Hermite normal
+form with the lower-triangular convention: pivot rows strictly increase,
+pivots are positive, each entry in a pivot row outside the pivot column is
+reduced into [0, pivot); so lattice equality is plain value equality.  The
+HNF answers every question whose answer is a basis (spans, images, exact
+kernels and preimages, so `meet`), and back substitution on its pivots
+gives coordinates (`coords_of`, `restrict_endomorphism`).  A lattice known
+to contain D * Z^k (a subgroup of (Z/D)^k, such as `congruence_lattice`)
+is spanned modulo D, `Sublattice.from_columns(..., modulus=D)`: the one
+place where entries are reduced, and exact because the reduction moves
+rows only by vectors of the lattice.  The Smith form serves only where its
+diagonal is the answer: `quotient_invariants`, `congruence_lattice`
+(conditions mod n) and `solve_columns` (behind `solve_modulo` and matrix
+inversion).
 """
 
 from __future__ import annotations
@@ -217,18 +221,30 @@ class Mat:
         return "[" + "; ".join(" ".join(map(str, r)) for r in self._row_tuples()) + "]"
 
 
-def _row_hnf(rows: Iterable[Sequence[int]]) -> list[list[int]]:
-    """Row Hermite normal form of the row span.
+def _row_hnf(rows: Iterable[Sequence[int]], width: int, modulus: int = 0) -> list[list[int]]:
+    """Row Hermite normal form of the row span plus modulus * Z^width.
 
     Output rows are nonzero, pivot columns strictly increase, pivots are
-    positive and entries above each pivot lie in [0, pivot).
+    positive and entries above each pivot lie in [0, pivot).  With a
+    modulus D >= 1 the rows D * e_c join the input, untouched until column
+    c is reached, and every row combination is reduced into [0, D) (HNF
+    modulo D: Cohen, GTM 138, Alg. 2.4.8; Domich, Kannan and Trotter
+    1987).  The reduction is exact.  It leaves the entries at reached
+    columns as they are: they lie in [0, D) already, or are a pivot D on
+    the row D * e_c, which no step changes.  So a row moves only by
+    multiples of D * e_j for unreached j, whose rows are still there, the
+    span stays the same and no entry outgrows D.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return []
-    ncols = len(work[0])
+    if modulus:
+        reduced = ([x % modulus for x in row] for row in rows)
+        work = [row for row in reduced if any(row)]
+        work += ([modulus if i == c else 0 for i in range(width)] for c in range(width))
+    else:
+        work = [list(row) for row in rows if any(row)]
     r = 0
-    for c in range(ncols):
+    for c in range(width):
+        if r == len(work):
+            break
         piv = next((i for i in range(r, len(work)) if work[i][c]), None)
         if piv is None:
             continue
@@ -241,11 +257,16 @@ def _row_hnf(rows: Iterable[Sequence[int]]) -> list[list[int]]:
             if b % a == 0:
                 q = b // a
                 work[i] = [y - q * x for x, y in zip(work[r], work[i])]
+                if modulus:
+                    work[i] = [x % modulus for x in work[i]]
                 continue
             g, s, t = xgcd(a, b)
             u, v = a // g, b // g
             row_r = [s * x + t * y for x, y in zip(work[r], work[i])]
             row_i = [-v * x + u * y for x, y in zip(work[r], work[i])]
+            if modulus:
+                row_r = [x % modulus for x in row_r]
+                row_i = [x % modulus for x in row_i]
             work[r], work[i] = row_r, row_i
         if work[r][c] < 0:
             work[r] = [-x for x in work[r]]
@@ -254,16 +275,15 @@ def _row_hnf(rows: Iterable[Sequence[int]]) -> list[list[int]]:
             q = work[i][c] // p
             if q:
                 work[i] = [x - q * y for x, y in zip(work[i], work[r])]
+                if modulus:
+                    work[i] = [x % modulus for x in work[i]]
         r += 1
-        if r == len(work):
-            break
     return [row for row in work[:r] if any(row)]
 
 
 def column_hnf(m: Mat) -> Mat:
     """Canonical column HNF of the column span of `m` (zero columns dropped)."""
-    reduced = _row_hnf(m._columns)
-    return Mat.from_columns(reduced, rows=m.rows)
+    return Mat.from_columns(_row_hnf(m._columns, m.rows), rows=m.rows)
 
 
 @dataclass(frozen=True)
@@ -434,11 +454,20 @@ class Sublattice:
         object.__setattr__(self, "_pivots", tuple(pivots))
 
     @classmethod
-    def from_columns(cls, ambient_rank: int, columns: Iterable[Sequence[int]]) -> "Sublattice":
+    def from_columns(cls, ambient_rank: int, columns: Iterable[Sequence[int]], *,
+                     modulus: int = 0) -> "Sublattice":
+        """The span of `columns` plus modulus * Z^ambient_rank (modulus >= 0).
+
+        A modulus D >= 1 keeps every intermediate entry below D; spans of
+        lattices that contain D * Z^k, such as subgroups of (Z/D)^k, go
+        through it.
+        """
         cols = [list(c) for c in columns]
         if any(len(c) != ambient_rank for c in cols):
             raise LatticeError("column length differs from ambient rank")
-        reduced = _row_hnf(cols)
+        if modulus < 0:
+            raise LatticeError("modulus must be >= 0")
+        reduced = _row_hnf(cols, ambient_rank, modulus)
         return cls(ambient_rank, Mat.from_columns(reduced, rows=ambient_rank))
 
     @classmethod
@@ -536,16 +565,18 @@ class Sublattice:
 
 
 def congruence_lattice(dec: SmithDecomposition, n: int) -> Sublattice:
-    """{x : m @ x == 0 mod n} for the m that `dec` reduces; n = 0 means exactly.
+    """{x : m @ x == 0 mod n} for the m that `dec` reduces; n >= 1.
 
     U @ m @ V = diag(d) turns the condition on x = V @ y into d_i * y_i == 0
-    mod n, so the lattice is spanned by the columns V_i * n / gcd(d_i, n)
-    and the free columns past len(d) (Cohen, GTM 138, section 2.4).
+    mod n, so the lattice is spanned by the columns V_i * n / gcd(d_i, n),
+    the free columns past len(d) and n * Z^cols (Cohen, GTM 138, section 2.4).
     """
+    if n < 1:
+        raise LatticeError("modulus must be >= 1")
     d = dec.d
     cols = [[(n // gcd(d[j], n) if j < len(d) else 1) * x for x in col]
             for j, col in enumerate(dec.V._columns)]
-    return Sublattice.from_columns(dec.V.rows, cols)
+    return Sublattice.from_columns(dec.V.rows, cols, modulus=n)
 
 
 def kernel_lattice(m: Mat) -> Sublattice:
@@ -569,20 +600,13 @@ def preimage_lattice(m: Mat, target: Sublattice) -> Sublattice:
 
 
 def preimage_mod(m: Mat, n: int) -> Sublattice:
-    """{x in Z^cols : m @ x == 0 mod n}; always contains n Z^cols."""
-    if n < 1:
-        raise LatticeError("modulus must be >= 1")
+    """{x in Z^cols : m @ x == 0 mod n} for n >= 1; always contains n Z^cols."""
     return congruence_lattice(smith(m), n)
 
 
 def fixed_point_conditions(mats: Iterable[Mat], k: int) -> Mat:
     """Every a - 1 stacked: x is fixed by all of mats iff the stack kills x."""
     return reduce(Mat.vstack, [a - Mat.identity(k) for a in mats], Mat.zeros(0, k))
-
-
-def fixed_points(mats: Iterable[Mat], k: int, n: int) -> Sublattice:
-    """{x in Z^k : a @ x == x mod n for every a in mats}; n = 0 means exactly."""
-    return congruence_lattice(smith(fixed_point_conditions(mats, k)), n)
 
 
 @dataclass(frozen=True)

@@ -112,8 +112,9 @@ def _points(d: CoverDatum, conditions: SmithDecomposition, m: int) -> LevelGroup
 
 
 def _image(sub: Sublattice, points: LevelGroup) -> LevelGroup:
-    torsion = Sublattice.scaled(sub.ambient_rank, points.modulus)
-    return LevelGroup(points.level, points.modulus, torsion.join(sub.basis @ points.lattice.basis))
+    cols = (sub.basis @ points.lattice.basis).columns()
+    return LevelGroup(points.level, points.modulus,
+                      Sublattice.from_columns(sub.ambient_rank, cols, modulus=points.modulus))
 
 
 def invariant_points(d: CoverDatum, sub: Sublattice, m: int) -> LevelGroup:

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .datum import NotPrimePower, prime_power_decomposition
-from .linalg import LatticeError, Mat, Sublattice, preimage_mod
+from .linalg import Mat, Sublattice, preimage_mod
 from .sharp import sharp
 
 
@@ -137,7 +137,7 @@ def split_center_image(f: TameField, b: Mat) -> SplitCenterReport:
         y = sharp_lat.basis.col(j)
         cols.append(list(y) + [0] * r)
         cols.append([0] * r + list(y))
-    sharp_image = Sublattice.scaled(2 * r, n).join(Mat.from_columns(cols, rows=2 * r))
+    sharp_image = Sublattice.from_columns(2 * r, cols, modulus=n)
     return SplitCenterReport(modulus=n, rank=r, gram=gram,
                              radical=radical, sharp_image=sharp_image)
 

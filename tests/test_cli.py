@@ -271,6 +271,29 @@ def test_malformed_json(capsys, tmp_path):
     assert json.loads(out)["error"]["kind"] == "DatumError"
 
 
+def test_config_not_utf8(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "DatumError"
+    assert error["message"].startswith("config is not valid UTF-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ("packet-group", "split_r2_q5_n4", "--cap", "0"),
+    ("packet-group", "split_r2_q5_n4", "--cap", "-1"),
+    ("validate", "swap_q3_n2", "--cap", "0"),
+])
+def test_closure_cap_below_1_exits_2(capsys, argv):
+    command, name, *rest = argv
+    code, out = run_cli(capsys, command, str(CONFIG_DIR / f"{name}.json"), *rest)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "ConfigError", "message": f"closure_cap must be >= 1, got {rest[-1]}"}
+
+
 @pytest.mark.parametrize("argv", [
     ("validate", "CONFIG"),
     ("sharp", "CONFIG"),

@@ -98,6 +98,15 @@ def test_closure_cap_counts_group_elements():
         validate(cfg, closure_cap=47)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_closure_cap_below_1_rejected(cap):
+    # the split datum adds no element or orbit point, so no cap is ever hit
+    split = load_config("split_r2_q5_n4")
+    validate(split, closure_cap=1)
+    with pytest.raises(ConfigError, match=f"^closure_cap must be >= 1, got {cap}$"):
+        validate(split, closure_cap=cap)
+
+
 def test_form_not_invariant():
     cfg = {"rank": 2, "inertia_gens": [], "frobenius": [[0, 1], [1, 0]],
            "q": 3, "n": 2, "Q_upper": [[1, 0], [0, 0]]}

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from itertools import product
 from math import prod
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from packetgroup.linalg import (AmbientMismatch, FinAbGroup, InfiniteQuotient,
                                 LatticeError, Mat, NotASublattice, Sublattice,
-                                column_hnf, fixed_points, kernel_lattice,
+                                column_hnf, fixed_point_conditions, kernel_lattice,
                                 preimage_lattice, preimage_mod, quotient_invariants,
                                 restrict_endomorphism, smith, solve_columns,
                                 solve_modulo, xgcd)
@@ -109,6 +110,8 @@ def test_preimage_examples():
     assert preimage_mod(Mat.identity(2), 3) == Sublattice.scaled(2, 3)
     with pytest.raises(LatticeError):
         preimage_mod(Mat.identity(2), 0)
+    with pytest.raises(LatticeError):
+        Sublattice.from_columns(2, [[1, 0]], modulus=-1)
 
 
 def test_meet_join_examples():
@@ -300,7 +303,8 @@ def test_kernel_is_exact_complement(m):
     for j in range(ker.rank):
         assert all(v == 0 for v in m.apply(ker.basis.col(j)))
     assert ker.rank + len(smith(m).d) == m.cols
-    assert fixed_points(as_fixed_point_actions(m), m.cols, 0) == ker
+    # saturated: Z^cols / ker is torsion free
+    assert smith(ker.basis).d == (1,) * ker.rank
 
 
 @given(matrices(max_dim=3), st.integers(1, 12))
@@ -311,7 +315,7 @@ def test_preimage_mod_membership(m, n):
     for j in range(lat.rank):
         assert all(v % n == 0 for v in m.apply(lat.basis.col(j)))
     assert lat.rank == m.cols
-    assert fixed_points(as_fixed_point_actions(m), m.cols, n) == lat
+    assert preimage_mod(fixed_point_conditions(as_fixed_point_actions(m), m.cols), n) == lat
     # complete: every residue class that m sends to 0 mod n is in the lattice
     for x in product(range(n), repeat=m.cols):
         if all(v % n == 0 for v in m.apply(x)):
@@ -442,3 +446,29 @@ def test_preimage_and_meet_are_complete(data):
         assert pre.contains_vector(x) == target.contains_vector(m.apply(x)), x
     for x in product(range(-3, 4), repeat=r):
         assert meet.contains_vector(x) == (a.contains_vector(x) and target.contains_vector(x)), x
+
+
+@given(st.integers(0, 5), st.data())
+@settings(deadline=None, max_examples=80)
+def test_modular_span_is_the_span_with_the_torsion(k, data):
+    # D from 1 to about 200 bits; columns share D's small factor a, so the
+    # span with D * Z^k is often a proper sublattice
+    a = data.draw(st.integers(1, 12))
+    d = a * data.draw(st.one_of(st.integers(1, 30), st.integers(1, 2 ** 200)))
+    element = st.one_of(entries, st.integers(-2 ** 210, 2 ** 210)).map(lambda x: a * x)
+    cols = data.draw(st.lists(st.lists(element, min_size=k, max_size=k), max_size=k + 2))
+    torsion = [[d if i == j else 0 for i in range(k)] for j in range(k)]
+    assert Sublattice.from_columns(k, cols, modulus=d) == Sublattice.from_columns(k, cols + torsion)
+    assert Sublattice.from_columns(k, [], modulus=d) == Sublattice.scaled(k, d)
+
+
+def test_modular_span_budget_dense_rank_12():
+    # every intermediate entry stays below D, so no coefficient growth can
+    # push a dense 200-bit input past the budget
+    rng = random.Random(0)
+    d = rng.getrandbits(200) | 1 << 199
+    cols = [[rng.getrandbits(200) for _ in range(12)] for _ in range(12)]
+    start = time.perf_counter()
+    lat = Sublattice.from_columns(12, cols, modulus=d)
+    assert time.perf_counter() - start < 2
+    assert lat.contains(Sublattice.scaled(12, d)) and all(map(lat.contains_vector, cols))

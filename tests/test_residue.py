@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
 
 from packetgroup.datum import conjugated_config, validate
 from packetgroup.linalg import LatticeError, Mat, Sublattice, quotient_invariants
-from packetgroup.randomgen import random_unimodular, random_valid_datum
+from packetgroup.randomgen import invariant_q_upper, random_unimodular, random_valid_datum
 from packetgroup.residue import (LevelError, LevelGroup, NotStabilized,
                                  StabilizationPolicy, invariant_points, iota_image,
                                  packet_group, packet_group_level)
@@ -178,3 +179,22 @@ def test_base_change_invariance_spot():
         p = random_unimodular(rng, 2)
         moved, _ = packet_group(validate(conjugated_config(cfg, p)))
         assert moved == base
+
+
+def test_rank_24_cycle_budget():
+    # Frobenius the 24-cycle e_i -> e_(i+1), no inertia, q = 5, n = 4: the
+    # levels reach N = 5^96 - 1, and the images in (Z/N)^24 are spanned
+    # modulo N, so no entry grows past its 223 bits
+    r = 24
+    cycle = Mat.from_rows([[1 if i == (j + 1) % r else 0 for j in range(r)] for i in range(r)])
+    powers = [Mat.identity(r)]
+    while len(powers) < r:
+        powers.append(powers[-1] @ cycle)
+    form = invariant_q_upper(random.Random(0), tuple(powers), r)
+    d = validate({"rank": r, "inertia_gens": [], "frobenius": cycle.to_rows(),
+                  "q": 5, "n": 4, "Q_upper": form.to_rows()})
+    start = time.perf_counter()
+    group, trace = packet_group(d)
+    assert time.perf_counter() - start < 10
+    assert [(m, g.invariant_factors) for m, g in trace] == [(24, ()), (48, ()), (96, ())]
+    assert group.is_trivial

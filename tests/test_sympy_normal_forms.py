@@ -1,9 +1,10 @@
 """The exact kernel's normal forms against sympy's, an independent implementation.
 
 sympy is used by these tests only; the package itself keeps no dependencies.
-Matrices reach rank 8 and entries of about 200 bits.
+Matrices reach rank 8, modular spans rank 12, and entries of about 200 bits.
 """
 
+import random
 from math import prod
 
 import pytest
@@ -14,7 +15,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form  # noqa: E402
 
 from packetgroup.linalg import (Mat, Sublattice, column_hnf, congruence_lattice,  # noqa: E402
-                                quotient_invariants, smith)
+                                kernel_lattice, quotient_invariants, smith)
 
 BIG = 2 ** 195
 small_entries = st.integers(-3, 3)
@@ -38,6 +39,12 @@ def structured_matrices(draw, max_dim=8):
     return a @ Mat(k, k, tuple(s[i] if i == j else 0 for i in range(k) for j in range(k))) @ b
 
 
+def _dense(rows, cols, seed):
+    """A matrix of random 200-bit entries."""
+    rng = random.Random(seed)
+    return Mat(rows, cols, tuple(rng.getrandbits(200) - 2 ** 199 for _ in range(rows * cols)))
+
+
 def _sympy(m):
     return sympy.Matrix(m.rows, m.cols, list(m.entries))
 
@@ -48,18 +55,38 @@ def _sympy_factors(m):
     return tuple(abs(int(snf[i, i])) for i in range(min(m.rows, m.cols)) if snf[i, i])
 
 
+def _flipped_sympy_hnf(m):
+    """sympy's HNF of m with the order of rows and of columns reversed.
+
+    sympy's HNF is upper triangular (Cohen, GTM 138, 2.4.2); the reversal
+    turns it into this package's convention for m with its rows reversed,
+    and both are canonical, so the bases agree exactly.
+    """
+    w = hermite_normal_form(_sympy(m))
+    return Mat.from_rows([[int(x) for x in row[::-1]] for row in w.tolist()[::-1]],
+                         cols=w.shape[1])
+
+
 @given(structured_matrices())
 @settings(deadline=None, max_examples=40)
 def test_column_hnf_matches_sympy(m):
-    # sympy's HNF is upper triangular (Cohen, GTM 138, 2.4.2); reversing the
-    # order of rows and of columns turns it into this package's convention,
-    # and both are canonical, so the bases agree exactly.
-    w = hermite_normal_form(_sympy(m))
-    want = Mat.from_rows([[int(x) for x in row[::-1]] for row in w.tolist()[::-1]],
-                         cols=w.shape[1])
+    want = _flipped_sympy_hnf(m)
     flipped = Mat.from_rows(m.to_rows()[::-1], cols=m.cols)
     assert column_hnf(flipped) == want
     assert Sublattice.from_matrix(flipped).basis == want
+
+
+@given(structured_matrices(max_dim=12),
+       st.one_of(st.integers(1, 60), st.integers(1, BIG).map(lambda x: 12 * x)))
+@example(_dense(12, 12, 0), 2 ** 199 + 1)
+@example(_dense(12, 12, 1), 12 * 2 ** 195)
+@settings(deadline=None, max_examples=30)
+def test_modular_span_matches_sympy(m, d):
+    # span(m) + d Z^rows is the exact HNF of [d I | m], oriented as above;
+    # sympy eliminates fast with the d I columns first
+    want = _flipped_sympy_hnf(Mat.identity(m.rows).scale(d).hstack(m))
+    flipped = Mat.from_rows(m.to_rows()[::-1], cols=m.cols)
+    assert Sublattice.from_columns(m.rows, flipped.columns(), modulus=d).basis == want
 
 
 @given(structured_matrices())
@@ -74,7 +101,8 @@ def test_smith_matches_sympy(m):
 @example(Mat.from_rows([[6, 0], [0, 4]]), 8)
 @settings(deadline=None, max_examples=40)
 def test_congruence_lattice_matches_sympy(m, n):
-    lat = congruence_lattice(smith(m), n)
+    # n = 0 asks for the exact kernel, which kernel_lattice computes
+    lat = congruence_lattice(smith(m), n) if n else kernel_lattice(m)
     basis = _sympy(lat.basis)
     # every basis vector solves m x == 0 mod n
     for col in lat.basis.columns():
