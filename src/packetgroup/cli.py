@@ -14,7 +14,8 @@ import argparse
 import hashlib
 import json
 import sys
-from typing import Any, Optional
+from contextlib import contextmanager
+from typing import Any, Iterator, Optional
 
 from . import oracle
 from .cohomology import ModuleError, TameModule, counting_checks, tame_h
@@ -57,14 +58,35 @@ def _load_config(path: str) -> Any:
         raise DatumError(f"config is not valid UTF-8: {ex}") from ex
     try:
         return json.loads(text)
-    except json.JSONDecodeError as ex:
+    except ValueError as ex:  # also an integer past Python's digit limit
         raise DatumError(f"config is not valid JSON: {ex}") from ex
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+@contextmanager
+def _any_int_digits() -> Iterator[None]:
+    """Lift Python's int-to-str digit limit for the duration and restore it
+    after, since `main` also runs inside other programs."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:  # Python before 3.10.7 has no limit
+        yield
         return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _emit(report: dict, fmt: str) -> None:
+    """Print the report in full, however long its integers."""
+    with _any_int_digits():
+        sys.stdout.write(_render(report, fmt))
+
+
+def _render(report: dict, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(report, sort_keys=True, indent=2) + "\n"
     lines = []
 
     def walk(prefix: str, value: Any) -> None:
@@ -75,7 +97,7 @@ def _emit(report: dict, fmt: str) -> None:
             lines.append(f"{prefix[:-1]} = {json.dumps(value, sort_keys=True)}")
 
     walk("", report)
-    sys.stdout.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _base_report(command: str, payload: Any, seed: Optional[int]) -> dict:
@@ -223,7 +245,7 @@ def _cmd_commutator(args) -> dict:
         b_rows = json.loads(args.form)
         s_pairs = json.loads(args.s)
         t_pairs = json.loads(args.t)
-    except json.JSONDecodeError as ex:
+    except ValueError as ex:  # also an integer past Python's digit limit
         raise SymbolError(f"matrix and element lists must be JSON: {ex}") from ex
     b = parse_matrix(b_rows, "form")
     s = [f.element(v, u) for v, u in parse_matrix(s_pairs, "s", 2).to_rows()]

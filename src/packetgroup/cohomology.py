@@ -16,7 +16,7 @@ from functools import cached_property
 from math import gcd
 from typing import ClassVar, Sequence
 
-from .datum import CoverDatum
+from .datum import CoverDatum, prime_power_decomposition
 from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, fixed_point_conditions,
                      preimage_lattice, preimage_mod, quotient_invariants,
                      restrict_endomorphism, solve_modulo)
@@ -65,9 +65,9 @@ class _FiniteModule:
 
     The relation lattice R must have full rank k (the group is finite),
     each action must descend to the quotient and act invertibly there,
-    and the group order must be prime to the subclass's q.  Actions are
-    stored reduced modulo the group exponent, so equal actions have equal
-    presentations.
+    the subclass's q must be a prime power and the group order must be
+    prime to it.  Actions are stored reduced modulo the group exponent, so
+    equal actions have equal presentations.
     """
 
     ACTIONS: ClassVar[tuple[str, ...]] = ()
@@ -95,8 +95,7 @@ class _FiniteModule:
                 raise ModuleError(f"{name} is not invertible on the module")
 
     def _check_scalars(self) -> None:
-        if self.q < 2:
-            raise ModuleError("q must be >= 2")
+        prime_power_decomposition(self.q)
 
     @property
     def ambient_rank(self) -> int:
@@ -290,9 +289,9 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
     # preimage of the level-m part, restricted to inertia-fixed points
     sharp_gens = [restrict_endomorphism(g, sharp_lat) for g in d.inertia_gens]
     sharp_frob = restrict_endomorphism(d.frobenius, sharp_lat)
-    isogeny_pre = preimage_mod(s, d.n)
-    fixed_b = preimage_mod(fixed_point_conditions(sharp_gens, r), big_mod)
-    lat_b = isogeny_pre.meet(fixed_b)
+    # s @ x in n Z^r iff N s @ x in n N Z^r: one congruence mod n N
+    lat_b = preimage_mod(s.scale(n_mod).vstack(fixed_point_conditions(sharp_gens, r)),
+                         big_mod)
     w = lat_b.basis
     mod_b = _submodule(lat_b, Sublattice.scaled(r, big_mod), sharp_frob, d.q, d.q)
 

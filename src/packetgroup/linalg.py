@@ -14,7 +14,10 @@ place where entries are reduced, and exact because the reduction moves
 rows only by vectors of the lattice.  The Smith form serves only where its
 diagonal is the answer: `quotient_invariants`, `congruence_lattice`
 (conditions mod n) and `solve_columns` (behind `solve_modulo` and matrix
-inversion).
+inversion).  `congruence_lattice` takes V already pushed through any
+matrix, so a level image is read off V pushed through the sub-lattice
+basis once per datum; and conditions mod n and mod n*N are stacked into
+one congruence mod n*N, the first scaled by N.
 """
 
 from __future__ import annotations
@@ -564,19 +567,19 @@ class Sublattice:
         return f"<lattice rank {self.rank} in Z^{self.ambient_rank}: {cols}>"
 
 
-def congruence_lattice(dec: SmithDecomposition, n: int) -> Sublattice:
-    """{x : m @ x == 0 mod n} for the m that `dec` reduces; n >= 1.
+def congruence_lattice(w: Mat, d: Sequence[int], n: int) -> Sublattice:
+    """w @ {x : m @ x == 0 mod n} + n * Z^(w.rows), where U @ m @ V = diag(d)
+    and w = a @ V for some a; n >= 1.  w = V gives the congruence lattice.
 
-    U @ m @ V = diag(d) turns the condition on x = V @ y into d_i * y_i == 0
-    mod n, so the lattice is spanned by the columns V_i * n / gcd(d_i, n),
-    the free columns past len(d) and n * Z^cols (Cohen, GTM 138, section 2.4).
+    The condition on x = V @ y is d_i * y_i == 0 mod n, so the lattice is
+    spanned by the columns w_i * n / gcd(d_i, n), the free columns past
+    len(d) and n * Z^(w.rows) (Cohen, GTM 138, section 2.4).
     """
     if n < 1:
         raise LatticeError("modulus must be >= 1")
-    d = dec.d
     cols = [[(n // gcd(d[j], n) if j < len(d) else 1) * x for x in col]
-            for j, col in enumerate(dec.V._columns)]
-    return Sublattice.from_columns(dec.V.rows, cols, modulus=n)
+            for j, col in enumerate(w._columns)]
+    return Sublattice.from_columns(w.rows, cols, modulus=n)
 
 
 def kernel_lattice(m: Mat) -> Sublattice:
@@ -601,7 +604,8 @@ def preimage_lattice(m: Mat, target: Sublattice) -> Sublattice:
 
 def preimage_mod(m: Mat, n: int) -> Sublattice:
     """{x in Z^cols : m @ x == 0 mod n} for n >= 1; always contains n Z^cols."""
-    return congruence_lattice(smith(m), n)
+    dec = smith(m)
+    return congruence_lattice(dec.V, dec.d, n)
 
 
 def fixed_point_conditions(mats: Iterable[Mat], k: int) -> Mat:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .datum import CoverDatum
-from .linalg import (FinAbGroup, LatticeError, SmithDecomposition, Sublattice,
+from .linalg import (FinAbGroup, LatticeError, Mat, SmithDecomposition, Sublattice,
                      congruence_lattice, fixed_point_conditions, quotient_invariants,
                      restrict_endomorphism, smith)
 from .sharp import y_gamma_sharp, y_sharp
@@ -105,26 +105,29 @@ def _twisted_conditions(d: CoverDatum, sub: Sublattice) -> SmithDecomposition:
     return smith(fixed_point_conditions(actions, sub.rank))
 
 
-def _points(d: CoverDatum, conditions: SmithDecomposition, m: int) -> LevelGroup:
-    """The level-m invariant points read off the level-free `conditions`."""
+def _points(d: CoverDatum, w: Mat, diag: tuple[int, ...], m: int) -> LevelGroup:
+    """a @ (level-m invariant points) + N Z^(w.rows) for w = a @ V, from the
+    level-free SNF U @ c @ V = diag(diag) of the twisted conditions c."""
     n_mod = level_modulus(d.q, m)
-    return LevelGroup(m, n_mod, congruence_lattice(conditions, n_mod))
-
-
-def _image(sub: Sublattice, points: LevelGroup) -> LevelGroup:
-    cols = (sub.basis @ points.lattice.basis).columns()
-    return LevelGroup(points.level, points.modulus,
-                      Sublattice.from_columns(sub.ambient_rank, cols, modulus=points.modulus))
+    return LevelGroup(m, n_mod, congruence_lattice(w, diag, n_mod))
 
 
 def invariant_points(d: CoverDatum, sub: Sublattice, m: int) -> LevelGroup:
     """Fixed points of the twisted action on sub x mu_N, in sub's own basis."""
-    return _points(d, _twisted_conditions(d, sub), m)
+    dec = _twisted_conditions(d, sub)
+    return _points(d, dec.V, dec.d, m)
+
+
+def _pushed_conditions(d: CoverDatum, sub: Sublattice) -> tuple[Mat, tuple[int, ...]]:
+    """(sub.basis @ V, diag) of the twisted conditions' SNF: all a level
+    needs for the ambient image of sub's invariant points."""
+    dec = _twisted_conditions(d, sub)
+    return sub.basis @ dec.V, dec.d
 
 
 def iota_image(d: CoverDatum, sub: Sublattice, m: int) -> LevelGroup:
     """Image of the invariant points in the ambient (Z/N)^r."""
-    return _image(sub, invariant_points(d, sub, m))
+    return _points(d, *_pushed_conditions(d, sub), m)
 
 
 def packet_group_level(d: CoverDatum, m: int) -> FinAbGroup:
@@ -142,18 +145,18 @@ def packet_group(d: CoverDatum,
     the exponent of the generated matrix group.  Raises LevelError when m0
     is above max_level, and NotStabilized when max_level is exceeded,
     never returning a silent answer.  Only N = q**m - 1 depends on the
-    level: the sharp lattices and the SNFs of their twisted fixed-point
-    conditions are computed once per call, and a level costs gcds against
-    N, HNFs and one quotient SNF.
+    level: the sharp lattices, the SNFs of their twisted fixed-point
+    conditions and each V pushed through its lattice's basis are computed
+    once per call, and a level costs one modular HNF per lattice and one
+    quotient SNF.
     """
     m = policy.start_level if policy.start_level is not None else d.gamma_exponent
     if m > policy.max_level:
         raise LevelError(f"first level {m} is above max_level = {policy.max_level}")
-    subs = (y_gamma_sharp(d), y_sharp(d))
-    conditions = [_twisted_conditions(d, sub) for sub in subs]
+    pushed = [_pushed_conditions(d, sub) for sub in (y_gamma_sharp(d), y_sharp(d))]
     trace: list[tuple[int, FinAbGroup]] = []
     while m <= policy.max_level:
-        big, small = (_image(sub, _points(d, c, m)) for sub, c in zip(subs, conditions))
+        big, small = (_points(d, w, diag, m) for w, diag in pushed)
         if not big.lattice.contains(small.lattice):
             raise ContainmentViolation(
                 f"sharp image not contained in gamma-sharp image at level {m}")

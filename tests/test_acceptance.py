@@ -10,8 +10,6 @@ import random
 import time
 from math import gcd
 
-import pytest
-
 from packetgroup import oracle
 from packetgroup.cli import main as cli_main
 from packetgroup.cohomology import (counting_checks, exactness_failures, h0_h1,

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from packetgroup import oracle
-from packetgroup.cli import _load_config, main
+from packetgroup.cli import _any_int_digits, _load_config, main
 from packetgroup.datum import Q_LIMIT
 from packetgroup.residue import LEVEL_BITS_LIMIT
 
@@ -150,6 +150,10 @@ BAD_MODULES = [
     {"relations": [[3]], "phi": [[1]], "q": 7, "e": True},
     {"relations": [[3]], "phi": [[1]], "q": True},
     {"relations": [[3, 0], [0]], "phi": [[1, 0], [0, 1]], "q": 7},
+    # q must be a prime power below the supported limit
+    {"relations": [[5]], "phi": [[2]], "q": 6},
+    {"relations": [[5]], "phi": [[2]], "q": 1},
+    {"relations": [[5]], "phi": [[2]], "q": Q_LIMIT},
 ]
 
 
@@ -393,3 +397,50 @@ def test_large_q_bounded_time(capsys, monkeypatch):
         code, report = run_validate(q)
         assert code == 2 and report["error"]["kind"] == "ConfigError"
         assert "supported limit" in report["error"]["message"]
+
+
+def test_integers_past_the_digit_limit_in_input_exit_2(capsys, tmp_path):
+    # Python refuses to parse an integer of more than 4300 digits
+    path = tmp_path / "big_q.json"
+    path.write_text('{"rank": 1, "inertia_gens": [], "frobenius": [[1]], "q": '
+                    + "7" * 5000 + ', "n": 2, "Q_upper": [[1]]}')
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 2 and json.loads(out)["error"]["kind"] == "DatumError"
+    for flag in ("--form", "--s", "--t"):
+        argv = {"--form": "[[1,2],[2,0]]", "--s": "[[1,0]]", "--t": "[[0,1]]"}
+        argv[flag] = "[[" + "1" * 5000 + ", 0]]"
+        code, out = run_cli(capsys, "commutator", "--q", "5", "--n", "4",
+                            *(x for item in argv.items() for x in item))
+        assert code == 2 and json.loads(out)["error"]["kind"] == "SymbolError", flag
+
+
+def _parse_in_full(out):
+    with _any_int_digits():
+        return json.loads(out)
+
+
+def test_cohomology_report_past_the_digit_limit(capsys, tmp_path):
+    x = 2 ** 9000
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps({"relations": [[x, 0], [0, x]],
+                                "phi": [[1, 0], [0, 1]], "q": 3}))
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "cohomology", str(path))
+    assert sys.get_int_max_str_digits() == limit
+    assert code == 0
+    assert _parse_in_full(out)["results"]["sizes"]["h0"] == x * x
+
+
+def test_validate_report_past_the_digit_limit(capsys, tmp_path):
+    nines = 10 ** 4300 - 1
+    path = tmp_path / "big_form.json"
+    path.write_text('{"rank": 2, "inertia_gens": [], "frobenius": [[-1, 0], [0, -1]], '
+                    '"q": 5, "n": 4, "Q_upper": [[' + "9" * 4300 + ', 0], [0, 1]]}')
+    limit = sys.get_int_max_str_digits()
+    code, out = run_cli(capsys, "validate", str(path))
+    assert code == 0
+    assert _parse_in_full(out)["results"]["bilinear_form"] == [[2 * nines, 0], [0, 2]]
+    code, out = run_cli(capsys, "validate", str(path), "--format", "text")
+    assert code == 0
+    assert "results.bilinear_form = [[1" + "9" * 4299 + "8, 0], [0, 2]]" in out
+    assert sys.get_int_max_str_digits() == limit

@@ -10,9 +10,9 @@ from packetgroup.cohomology import (ExactnessError, FrobModule, ModuleError,
                                     image_of_connecting, residue_sharp_sequence,
                                     tame_h, tate_twist, twisted_coinvariants,
                                     unramified_part)
-from packetgroup.datum import validate
+from packetgroup.datum import NotPrimePower, validate
 from packetgroup.linalg import Mat, Sublattice
-from packetgroup.randomgen import random_config, random_tame_module, random_valid_datum
+from packetgroup.randomgen import random_tame_module
 
 from conftest import load_config
 
@@ -38,6 +38,8 @@ def test_module_validation():
         FrobModule(Sublattice.scaled(1, 4), Mat.from_rows([[2]]), 3)  # not invertible
     with pytest.raises(ModuleError):
         FrobModule(Sublattice.scaled(1, 6), Mat.identity(1), 3)  # order not prime to q
+    with pytest.raises(NotPrimePower):
+        cyclic(5, 2, 6)
     m = cyclic(5, 7, 2)
     assert m.phi == Mat.from_rows([[2]])  # stored reduced mod the exponent
 
@@ -190,6 +192,8 @@ def test_tame_module_validation():
         TameModule(Sublattice.scaled(2, 5), swap, Mat.identity(2), 3, 3)  # swap^3 != 1
     with pytest.raises(ModuleError):
         TameModule(Sublattice.scaled(2, 5), swap, Mat.identity(2), 2, 4)  # gcd(e, q) = 2
+    with pytest.raises(NotPrimePower):
+        TameModule(Sublattice.scaled(2, 5), swap, Mat.identity(2), 1, 6)
     sigma = Mat.from_rows([[0, -1], [1, 0]])
     with pytest.raises(ModuleError):
         # phi = id does not conjugate a quarter turn to its cube

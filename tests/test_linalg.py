@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from packetgroup.linalg import (AmbientMismatch, FinAbGroup, InfiniteQuotient,
                                 LatticeError, Mat, NotASublattice, Sublattice,
-                                column_hnf, fixed_point_conditions, kernel_lattice,
-                                preimage_lattice, preimage_mod, quotient_invariants,
-                                restrict_endomorphism, smith, solve_columns,
-                                solve_modulo, xgcd)
+                                column_hnf, congruence_lattice, fixed_point_conditions,
+                                kernel_lattice, preimage_lattice, preimage_mod,
+                                quotient_invariants, restrict_endomorphism, smith,
+                                solve_columns, solve_modulo)
 
 entries = st.integers(-9, 9)
 
@@ -320,6 +320,26 @@ def test_preimage_mod_membership(m, n):
     for x in product(range(n), repeat=m.cols):
         if all(v % n == 0 for v in m.apply(x)):
             assert lat.contains_vector(x), x
+
+
+@given(matrices(), st.integers(1, 4), st.integers(1, 60), st.data())
+@settings(deadline=None)
+def test_congruence_lattice_pushes_through_any_matrix(m, rows, n, data):
+    # w = a @ V spans a @ {x : m @ x == 0 mod n} + n Z^rows in one modular span
+    a = data.draw(shaped(rows=rows, cols=m.cols))
+    dec = smith(m)
+    pushed = congruence_lattice(a @ dec.V, dec.d, n)
+    want = Sublattice.from_columns(rows, (a @ preimage_mod(m, n).basis).columns(), modulus=n)
+    assert pushed == want
+
+
+@given(matrices(max_dim=3), st.integers(1, 12), st.integers(1, 12), st.data())
+@settings(deadline=None)
+def test_stacked_congruences_meet(s, n, big, data):
+    # s @ x == 0 mod n and c @ x == 0 mod n*N are one congruence mod n*N
+    c = data.draw(shaped(cols=s.cols, max_dim=3))
+    stacked = preimage_mod(s.scale(big).vstack(c), n * big)
+    assert stacked == preimage_mod(s, n).meet(preimage_mod(c, n * big))
 
 
 @given(st.data())

@@ -2,10 +2,9 @@ import pytest
 
 from packetgroup.datum import validate
 from packetgroup.linalg import Sublattice
-from packetgroup.oracle import (AmbiguousOrderProfile, CapExceeded, NotASubgroup,
-                                _abelian_chains, brute_invariant_points,
-                                brute_iota_image, brute_quotient, brute_radical,
-                                subgroup_from_generators)
+from packetgroup.oracle import (CapExceeded, NotASubgroup, _abelian_chains,
+                                brute_invariant_points, brute_iota_image,
+                                brute_quotient, brute_radical, subgroup_from_generators)
 
 from conftest import load_config
 

@@ -102,7 +102,11 @@ def test_smith_matches_sympy(m):
 @settings(deadline=None, max_examples=40)
 def test_congruence_lattice_matches_sympy(m, n):
     # n = 0 asks for the exact kernel, which kernel_lattice computes
-    lat = congruence_lattice(smith(m), n) if n else kernel_lattice(m)
+    if n:
+        dec = smith(m)
+        lat = congruence_lattice(dec.V, dec.d, n)
+    else:
+        lat = kernel_lattice(m)
     basis = _sympy(lat.basis)
     # every basis vector solves m x == 0 mod n
     for col in lat.basis.columns():
