@@ -16,7 +16,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Mapping, Optional, Sequence
 
-from .linalg import Mat, solve_columns
+from .linalg import Mat, column_hnf
 
 DEFAULT_CLOSURE_CAP = 10 ** 6
 
@@ -178,14 +178,22 @@ def parse_matrix(obj: object, what: str, cols: Optional[int] = None,
     return Mat.from_rows(obj, cols=cols)
 
 
-def _mod3_test(residue: object, key: object, seen: dict) -> None:
-    """Raise GroupNotFinite when a different element already had `residue`.
+def _int_text(x: int) -> str:
+    """str(x), or its bit length where str() would pass Python's digit limit."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"an integer of {x.bit_length()} bits"
+
+
+def _mod3_test(t: Mat, seen: dict) -> None:
+    """Raise GroupNotFinite when a different element in `seen` agrees with t mod 3.
 
     The kernel of GL_r(Z) -> GL_r(Z/3) is torsion free (Minkowski), so a
     finite group embeds mod 3: two distinct elements with the same
-    reduction prove the group infinite.
+    reduction prove the group infinite.  Only `_basis_orbit` needs it.
     """
-    if seen.setdefault(residue, key) != key:
+    if seen.setdefault(tuple(v % 3 for v in t.entries), t.entries) != t.entries:
         raise GroupNotFinite("group is infinite: two elements agree mod 3")
 
 
@@ -207,14 +215,14 @@ def _basis_orbit(gens: Sequence[Mat], rank: int,
     index = {w: i for i, w in enumerate(orbit)}
     transversal = [ident] * rank
     seen: dict = {}
-    _mod3_test(tuple(v % 3 for v in ident.entries), ident.entries, seen)
+    _mod3_test(ident, seen)
     images: list[list[int]] = [[] for _ in gens]
     for i, w in enumerate(orbit):  # the loop visits the points it appends
         for g, row in zip(gens, images):
             y = g.apply(w)
             if y not in index:
                 t = g @ transversal[i]
-                _mod3_test(tuple(v % 3 for v in t.entries), t.entries, seen)
+                _mod3_test(t, seen)
                 index[y] = len(orbit)
                 orbit.append(y)
                 transversal.append(t)
@@ -225,19 +233,15 @@ def _basis_orbit(gens: Sequence[Mat], rank: int,
 
 
 def _close(elems: set[Perm], frontier: list[Perm], gens: Sequence[Perm],
-           residue, seen: dict, cap: int) -> None:
-    """Add to `elems` every product of a frontier element with the generators.
-
-    The product x @ g of permutations of the orbit is x[g[i]] at i.  Each
-    new element passes the mod-3 test on `residue`, its basis images mod 3.
-    """
+           cap: int) -> None:
+    """Add to `elems` every product of a frontier element with the generators,
+    until none is new; the product x @ g of orbit permutations is x[g[i]] at i."""
     while frontier:
         fresh = []
         for x in frontier:
             for g in gens:
                 y = tuple(map(x.__getitem__, g))
                 if y not in elems:
-                    _mod3_test(residue(y), y, seen)
                     elems.add(y)
                     fresh.append(y)
                     if len(elems) > cap:
@@ -272,10 +276,12 @@ def fold_upper(m: Mat) -> Mat:
 
 
 def matrix_inverse_unimodular(a: Mat) -> Mat:
-    inv = solve_columns(a, Mat.identity(a.rows))
-    if inv is None:
+    """a^-1: the column HNF of [a; I] is [I; a^-1] exactly when a is square
+    and unimodular (Cohen, GTM 138, section 2.4)."""
+    h = column_hnf(a.vstack(Mat.identity(a.cols)))
+    if Mat(a.rows, h.cols, h.entries[:a.rows * h.cols]) != Mat.identity(a.cols):
         raise DeterminantError("matrix is not invertible over the integers")
-    return inv
+    return Mat(a.cols, h.cols, h.entries[a.rows * h.cols:])
 
 
 def validate(config: Mapping[str, object], *,
@@ -319,43 +325,38 @@ def validate(config: Mapping[str, object], *,
     if (q - 1) % n:
         raise RootsOfUnityError(f"n = {n} does not divide q - 1 = {q - 1}")
 
-    for idx, g in enumerate(inertia_gens + (frobenius,)):
+    gens = inertia_gens + (frobenius,)
+    names = [f"inertia_gens[{i}]" for i in range(len(inertia_gens))] + ["frobenius"]
+    for which, g in zip(names, gens):
         d = g.det()
         if d not in (1, -1):
-            which = "frobenius" if idx == len(inertia_gens) else f"inertia_gens[{idx}]"
-            raise DeterminantError(f"{which} has determinant {d}, expected +-1")
+            raise DeterminantError(f"{which} has determinant {_int_text(d)}, expected +-1")
 
     bilinear = q_upper + q_upper.transpose()
-    for idx, g in enumerate(inertia_gens + (frobenius,)):
-        which = "frobenius" if idx == len(inertia_gens) else f"inertia_gens[{idx}]"
+    for which, g in zip(names, gens):
         if g.transpose() @ bilinear @ g != bilinear:
             raise FormNotInvariant(f"bilinear form not invariant under {which}")
         twisted = g.transpose() @ q_upper @ g
         if any(twisted[i, i] != q_upper[i, i] for i in range(rank)):
             raise FormNotInvariant(f"quadratic form not invariant under {which}")
 
-    orbit, perms = _basis_orbit(inertia_gens + (frobenius,), rank, closure_cap)
-    residues = [tuple(v % 3 for v in w) for w in orbit]
-
-    def residue(x: Perm) -> tuple:
-        return tuple(map(residues.__getitem__, x[:rank]))
-
+    # Each generator permutes a finite orbit that spans Z^r, so the group is
+    # finite and embeds mod 3 (Minkowski): past here no mod-3 test can fire.
+    orbit, perms = _basis_orbit(gens, rank, closure_cap)
     ident = tuple(range(len(orbit)))
-    seen: dict = {residue(ident): ident}
     inertia = {ident}
-    _close(inertia, [ident], perms[:-1], residue, seen, closure_cap)
+    _close(inertia, [ident], perms[:-1], closure_cap)
     e = len(inertia)
-    group = set(inertia)
-    _close(group, list(inertia), perms, residue, seen, closure_cap)
 
     frob = perms[-1]
-    frob_inv = [0] * len(frob)
-    for i, j in enumerate(frob):
-        frob_inv[j] = i
+    frob_inv = sorted(range(len(frob)), key=frob.__getitem__)
     for i, g in enumerate(perms[:-1]):
         if tuple(frob[g[j]] for j in frob_inv) not in inertia:
             raise InertiaNotNormalized(
                 f"frobenius does not normalize the inertia group (generator {i})")
+    # F normalizes I, so the cosets I F^j form a group holding every generator
+    group = set(inertia)
+    _close(group, list(inertia), perms[-1:], closure_cap)
 
     if not allow_gcd_violation and gcd(n, e) != 1:
         raise RamificationGcdError(
@@ -384,10 +385,11 @@ def conjugated_config(config: Mapping[str, object], p: Mat) -> dict:
     Generators become p^-1 A p and the quadratic form is re-presented as
     the upper-triangular fold of p^T Q_upper p.  `p` must be unimodular.
     """
-    if not p.is_unimodular():
-        raise ConfigError("base change matrix must be unimodular")
+    try:
+        p_inv = matrix_inverse_unimodular(p)
+    except DeterminantError:
+        raise ConfigError("base change matrix must be unimodular") from None
     rank = config["rank"]
-    p_inv = matrix_inverse_unimodular(p)
 
     def conj(raw: Sequence[Sequence[int]]) -> list[list[int]]:
         a = Mat.from_rows(raw, cols=rank)

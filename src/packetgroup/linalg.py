@@ -6,18 +6,18 @@ form with the lower-triangular convention: pivot rows strictly increase,
 pivots are positive, each entry in a pivot row outside the pivot column is
 reduced into [0, pivot); so lattice equality is plain value equality.  The
 HNF answers every question whose answer is a basis (spans, images, exact
-kernels and preimages, so `meet`), and back substitution on its pivots
-gives coordinates (`coords_of`, `restrict_endomorphism`).  A lattice known
-to contain D * Z^k (a subgroup of (Z/D)^k, such as `congruence_lattice`)
-is spanned modulo D, `Sublattice.from_columns(..., modulus=D)`: the one
-place where entries are reduced, and exact because the reduction moves
-rows only by vectors of the lattice.  The Smith form serves only where its
-diagonal is the answer: `quotient_invariants`, `congruence_lattice`
-(conditions mod n) and `solve_columns` (behind `solve_modulo` and matrix
-inversion).  `congruence_lattice` takes V already pushed through any
-matrix, so a level image is read off V pushed through the sub-lattice
-basis once per datum; and conditions mod n and mod n*N are stacked into
-one congruence mod n*N, the first scaled by N.
+kernels and preimages, so `meet`, and inverses, off [a; I]), and back
+substitution on its pivots gives coordinates (`coords_of`,
+`restrict_endomorphism`).  A lattice known to contain D * Z^k (a subgroup
+of (Z/D)^k, such as `congruence_lattice`) is spanned modulo D,
+`Sublattice.from_columns(..., modulus=D)`: the one place where entries are
+reduced, and exact because the reduction moves rows only by vectors of the
+lattice.  The Smith form serves only where its diagonal is the answer:
+`quotient_invariants`, `congruence_lattice` (conditions mod n) and
+`solve_columns` (behind `solve_modulo`).  `congruence_lattice` takes V
+already pushed through any matrix, so a level image is read off V pushed
+through the sub-lattice basis once per datum; and conditions mod n and mod
+n*N are stacked into one congruence mod n*N, the first scaled by N.
 """
 
 from __future__ import annotations
@@ -216,9 +216,6 @@ class Mat:
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
-
-    def is_unimodular(self) -> bool:
-        return self.is_square and abs(self.det()) == 1
 
     def __str__(self) -> str:
         return "[" + "; ".join(" ".join(map(str, r)) for r in self._row_tuples()) + "]"

@@ -14,7 +14,7 @@ from itertools import product
 from math import gcd
 from typing import Iterable, Sequence
 
-from .datum import CoverDatum
+from .datum import CoverDatum, _int_text
 from .linalg import FinAbGroup, Sublattice
 
 DEFAULT_CAP = 10 ** 6
@@ -93,7 +93,7 @@ def brute_invariant_points(d: CoverDatum, sub: Sublattice, m: int,
     n_mod = d.q ** m - 1
     k = sub.rank
     if n_mod ** k > cap:
-        raise CapExceeded(f"N^k = {n_mod ** k} exceeds the cap {cap}")
+        raise CapExceeded(f"N^k = {_int_text(n_mod ** k)} exceeds the cap {cap}")
     basis_cols = [list(sub.basis.col(j)) for j in range(k)]
     actions = []
     for g in d.inertia_gens:
@@ -204,7 +204,7 @@ def brute_radical(gram_rows: Sequence[Sequence[int]], n: int,
     """All x in (Z/n)^k with x^T gram y = 0 mod n for every y."""
     k = len(gram_rows)
     if n ** k > cap:
-        raise CapExceeded(f"n^k = {n ** k} exceeds the cap {cap}")
+        raise CapExceeded(f"n^k = {_int_text(n ** k)} exceeds the cap {cap}")
     out = []
     for x in product(range(n), repeat=k):
         row = [sum(x[i] * gram_rows[i][j] for i in range(k)) % n for j in range(k)]

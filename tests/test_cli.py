@@ -444,3 +444,25 @@ def test_validate_report_past_the_digit_limit(capsys, tmp_path):
     assert code == 0
     assert "results.bilinear_form = [[1" + "9" * 4299 + "8, 0], [0, 2]]" in out
     assert sys.get_int_max_str_digits() == limit
+
+
+def test_input_errors_past_the_digit_limit_exit_2(capsys, tmp_path):
+    # an unprintable value is given by its bit length, a printable one as before
+    big = 10 ** 4299
+    path = tmp_path / "det.json"
+    for x, det in ((big, f"an integer of {(big * big).bit_length()} bits"), (2, "4")):
+        path.write_text(json.dumps({"rank": 2, "inertia_gens": [],
+                                    "frobenius": [[x, 1], [0, x]],
+                                    "q": 3, "n": 1, "Q_upper": [[0, 0], [0, 0]]}))
+        code, out = run_cli(capsys, "validate", str(path))
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "DeterminantError",
+            "message": f"frobenius has determinant {det}, expected +-1"}
+    swap = str(CONFIG_DIR / "swap_q3_n2.json")
+    big_n = f"an integer of {((3 ** 9000 - 1) ** 2).bit_length()} bits"
+    for level, n_k in (("9000", big_n), ("2", "64")):
+        code, out = run_cli(capsys, "oracle-check", swap, "--level", level, "--oracle-cap", "10")
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "kind": "CapExceeded", "message": f"N^k = {n_k} exceeds the cap 10"}

@@ -1,15 +1,19 @@
 import random
 import time
+from math import factorial, lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packetgroup.datum import (ConfigError, DeterminantError, FormNotInvariant,
                                GroupNotFinite, InertiaNotNormalized, NotPrimePower,
                                RamificationGcdError, RootsOfUnityError,
                                conjugated_config, fold_upper,
-                               prime_power_decomposition, validate)
+                               matrix_inverse_unimodular, prime_power_decomposition,
+                               validate)
 from packetgroup.linalg import Mat
-from packetgroup.randomgen import random_unimodular
+from packetgroup.randomgen import random_config, random_unimodular
 
 from conftest import load_config, permutation_group_config
 
@@ -127,6 +131,15 @@ def test_inertia_not_normalized():
         validate(cfg)
 
 
+def test_normalization_checked_before_the_group_is_closed():
+    # the group would have 8 elements; a cap of 4 still reports the real fault
+    cfg = {"rank": 2, "inertia_gens": [[[1, 0], [0, -1]]],
+           "frobenius": [[0, 1], [1, 0]],
+           "q": 3, "n": 1, "Q_upper": [[1, 0], [0, 1]]}
+    with pytest.raises(InertiaNotNormalized):
+        validate(cfg, closure_cap=4)
+
+
 def test_roots_of_unity_error():
     cfg = {"rank": 1, "inertia_gens": [], "frobenius": [[1]],
            "q": 3, "n": 3, "Q_upper": [[1]]}
@@ -194,3 +207,86 @@ def test_inertia_order_divides_group_order():
         assert len(d.inertia_elements) == d.e
         assert d.group_order % d.e == 0
         assert all(g in set(d.group_elements) for g in d.inertia_elements)
+
+
+def _matrix_closure(gens, rank):
+    """Every product of the matrices `gens`, by breadth-first search."""
+    ident = Mat.identity(rank)
+    elems, frontier = {ident}, [ident]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = x @ g
+                if y not in elems:
+                    elems.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return tuple(sorted(elems, key=lambda m: m.entries))
+
+
+def _matrix_order(g):
+    ident = Mat.identity(g.rows)
+    power, order = g, 1
+    while power != ident:
+        power, order = power @ g, order + 1
+    return order
+
+
+def _assert_closure_matches_matrices(d):
+    group = _matrix_closure(d.generators, d.rank)
+    inertia = _matrix_closure(d.inertia_gens, d.rank)
+    assert d.group_elements == group
+    assert d.inertia_elements == inertia
+    assert d.e == len(inertia)
+    assert d.gamma_exponent == lcm(*map(_matrix_order, group))
+    return group
+
+
+def test_closure_matches_matrix_products_on_random_data():
+    styles = set()
+    for seed in range(3):
+        rng = random.Random(seed)
+        for _ in range(15):
+            d = validate(random_config(rng, ranks=(1, 2, 3, 4)))
+            group = _assert_closure_matches_matrices(d)
+            abelian = all(a @ b == b @ a for a in group for b in group)
+            styles.add((d.e > 1, abelian))
+    # ramified data with an abelian group and with a dihedral one both occur
+    assert {(True, True), (True, False)} <= styles
+
+
+@pytest.mark.parametrize("family,r", [("B", r) for r in range(2, 6)]
+                         + [("S", r) for r in range(3, 7)])
+def test_closure_matches_matrix_products_on_permutation_groups(family, r):
+    d = validate(permutation_group_config(family, r))
+    _assert_closure_matches_matrices(d)
+    # |B_r| = 2^r r! with exponent 2 lcm(1..r); |S_r| = r! with exponent lcm(1..r)
+    order, exponent = factorial(r), lcm(*range(1, r + 1))
+    if family == "B":
+        order, exponent = 2 ** r * order, 2 * exponent
+    assert (d.group_order, d.e, d.gamma_exponent) == (order, order, exponent)
+
+
+@given(st.integers(1, 6), st.integers(0, 2 ** 32))
+@settings(deadline=None)
+def test_matrix_inverse_roundtrip(r, seed):
+    a = random_unimodular(random.Random(seed), r, ops=4 * r)
+    inv = matrix_inverse_unimodular(a)
+    assert a @ inv == Mat.identity(r) == inv @ a
+
+
+@pytest.mark.parametrize("rows", [[[1, 2], [2, 4]], [[2, 0], [0, 1]], [[0]],
+                                  [[1, 0]], [[1], [0]]])
+def test_matrix_inverse_refuses_non_unimodular(rows):
+    # singular, det 2, zero, and two non-square shapes
+    with pytest.raises(DeterminantError, match="not invertible over the integers"):
+        matrix_inverse_unimodular(Mat.from_rows(rows))
+
+
+def test_conjugated_config_refuses_non_unimodular():
+    cfg = load_config("swap_q3_n2")
+    for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[1, 0]]):
+        with pytest.raises(ConfigError, match="^base change matrix must be unimodular$"):
+            conjugated_config(cfg, Mat.from_rows(rows))
+

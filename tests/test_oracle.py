@@ -27,6 +27,14 @@ def test_brute_cap():
         brute_invariant_points(split, Sublattice.full(2), 4, cap=100)
 
 
+def test_brute_radical_cap_past_the_digit_limit():
+    with pytest.raises(CapExceeded, match=r"^n\^k = 1331 exceeds the cap 10$"):
+        brute_radical([[0] * 3] * 3, 11, cap=10)
+    bits = (10 ** 6000).bit_length()
+    with pytest.raises(CapExceeded, match=rf"^n\^k = an integer of {bits} bits exceeds the cap 10$"):
+        brute_radical([[0] * 300] * 300, 10 ** 20, cap=10)
+
+
 def test_brute_quotient_examples():
     full = {(a, b) for a in range(2) for b in range(2)}
     assert brute_quotient(2, full, {(0, 0), (1, 1)}).invariant_factors == (2,)
