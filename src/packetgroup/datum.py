@@ -383,13 +383,17 @@ def conjugated_config(config: Mapping[str, object], p: Mat) -> dict:
     """The same datum written in the basis whose columns are those of `p`.
 
     Generators become p^-1 A p and the quadratic form is re-presented as
-    the upper-triangular fold of p^T Q_upper p.  `p` must be unimodular.
+    the upper-triangular fold of p^T Q_upper p.  `p` must be unimodular
+    and rank x rank.
     """
+    rank = config["rank"]
+    if p.is_square and p.rows != rank:
+        raise ConfigError(f"base change matrix is {p.rows} x {p.cols}, "
+                          f"expected {rank} x {rank} for the datum's rank")
     try:
         p_inv = matrix_inverse_unimodular(p)
     except DeterminantError:
         raise ConfigError("base change matrix must be unimodular") from None
-    rank = config["rank"]
 
     def conj(raw: Sequence[Sequence[int]]) -> list[list[int]]:
         a = Mat.from_rows(raw, cols=rank)

@@ -9,15 +9,18 @@ HNF answers every question whose answer is a basis (spans, images, exact
 kernels and preimages, so `meet`, and inverses, off [a; I]), and back
 substitution on its pivots gives coordinates (`coords_of`,
 `restrict_endomorphism`).  A lattice known to contain D * Z^k (a subgroup
-of (Z/D)^k, such as `congruence_lattice`) is spanned modulo D,
-`Sublattice.from_columns(..., modulus=D)`: the one place where entries are
-reduced, and exact because the reduction moves rows only by vectors of the
-lattice.  The Smith form serves only where its diagonal is the answer:
-`quotient_invariants`, `congruence_lattice` (conditions mod n) and
-`solve_columns` (behind `solve_modulo`).  `congruence_lattice` takes V
-already pushed through any matrix, so a level image is read off V pushed
-through the sub-lattice basis once per datum; and conditions mod n and mod
-n*N are stacked into one congruence mod n*N, the first scaled by N.
+of (Z/D)^k) is spanned modulo D, `Sublattice.from_columns(..., modulus=D)`:
+the one place where entries are reduced, and exact because the reduction
+moves rows only by vectors of the lattice.  So a congruence mod n,
+`preimage_mod`, is the preimage block [m; I] spanned modulo n.  The Smith
+form serves only where the Hermite form does not give the answer:
+`quotient_invariants` reads its diagonal, `solve_columns` (behind
+`solve_modulo`) its transforms, and `residue`'s level loop, through
+`congruence_lattice`, its V and diagonal, once per datum.
+`congruence_lattice` takes V already pushed through any matrix, so a level
+image is read off V pushed through the sub-lattice basis; and conditions
+mod n and mod n*N are stacked into one congruence mod n*N, the first
+scaled by N.
 """
 
 from __future__ import annotations
@@ -584,15 +587,21 @@ def kernel_lattice(m: Mat) -> Sublattice:
     return preimage_lattice(m, Sublattice.zero(m.rows))
 
 
+def _vanished_tops(hnf: Mat, top: int) -> Sublattice:
+    """The bottoms of the columns of a canonical column HNF whose first `top`
+    rows vanish: a canonical basis of the block's meet with 0 + Z^rest."""
+    return Sublattice(hnf.rows - top, Mat.from_columns(
+        [c[top:] for c in hnf._columns if not any(c[:top])], rows=hnf.rows - top))
+
+
 def preimage_lattice(m: Mat, target: Sublattice) -> Sublattice:
     """{x in Z^cols : m @ x in target}: the bottoms of the columns of the column
     HNF of [[m, target], [I, 0]] whose top part vanished (Cohen, GTM 138, 2.4)."""
     if m.rows != target.ambient_rank:
         raise AmbientMismatch("matrix height differs from target ambient rank")
-    k, top = m.cols, m.rows
+    k = m.cols
     block = m.vstack(Mat.identity(k)).hstack(target.basis.vstack(Mat.zeros(k, target.rank)))
-    pre = Sublattice(k, Mat.from_columns(
-        [c[top:] for c in column_hnf(block)._columns if not any(c[:top])], rows=k))
+    pre = _vanished_tops(column_hnf(block), m.rows)
     if __debug__:
         assert all(target.contains_vector(m.apply(c)) for c in pre.basis._columns), \
             "preimage basis vector escapes the target"
@@ -600,9 +609,16 @@ def preimage_lattice(m: Mat, target: Sublattice) -> Sublattice:
 
 
 def preimage_mod(m: Mat, n: int) -> Sublattice:
-    """{x in Z^cols : m @ x == 0 mod n} for n >= 1; always contains n Z^cols."""
-    dec = smith(m)
-    return congruence_lattice(dec.V, dec.d, n)
+    """{x in Z^cols : m @ x == 0 mod n} for n >= 1; always contains n Z^cols.
+
+    With target n * Z^rows, `preimage_lattice`'s block spans a lattice that
+    contains n * Z^(rows + cols), so it is the span of [m; I] modulo n.
+    """
+    if n < 1:
+        raise LatticeError("modulus must be >= 1")
+    block = m.vstack(Mat.identity(m.cols))
+    return _vanished_tops(
+        Sublattice.from_columns(block.rows, block._columns, modulus=n).basis, m.rows)
 
 
 def fixed_point_conditions(mats: Iterable[Mat], k: int) -> Mat:

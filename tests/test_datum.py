@@ -290,3 +290,12 @@ def test_conjugated_config_refuses_non_unimodular():
         with pytest.raises(ConfigError, match="^base change matrix must be unimodular$"):
             conjugated_config(cfg, Mat.from_rows(rows))
 
+
+def test_conjugated_config_refuses_wrong_size():
+    # a unimodular p of another size used to fail inside a matrix product
+    cfg = load_config("swap_q3_n2")
+    for size in (1, 3):
+        with pytest.raises(ConfigError, match=f"^base change matrix is {size} x {size}, "
+                                              "expected 2 x 2 for the datum's rank$"):
+            conjugated_config(cfg, Mat.identity(size))
+

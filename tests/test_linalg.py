@@ -5,7 +5,7 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from packetgroup.linalg import (AmbientMismatch, FinAbGroup, InfiniteQuotient,
@@ -322,6 +322,18 @@ def test_preimage_mod_membership(m, n):
             assert lat.contains_vector(x), x
 
 
+@given(shaped(), st.one_of(st.integers(1, 60), st.integers(1, 2 ** 70 + 3)))
+@example(Mat.zeros(0, 3), 2 ** 70 + 3)
+@example(Mat.zeros(3, 0), 12)
+@example(Mat.from_rows([[6, 0], [0, 4]]), 2 ** 70 + 3)
+@settings(deadline=None, max_examples=200)
+def test_preimage_mod_matches_the_smith_route(m, n):
+    # the block [m; I] spanned modulo n against the congruence read off the
+    # Smith form's V and diagonal
+    dec = smith(m)
+    assert preimage_mod(m, n) == congruence_lattice(dec.V, dec.d, n)
+
+
 @given(matrices(), st.integers(1, 4), st.integers(1, 60), st.data())
 @settings(deadline=None)
 def test_congruence_lattice_pushes_through_any_matrix(m, rows, n, data):
@@ -378,6 +390,30 @@ def test_solve_columns_roundtrip(m, data):
     for j, want in enumerate((shifted, target)):
         got = m.apply(sol.col(j))
         assert lat.contains_vector([g - w for g, w in zip(got, want)])
+
+
+@given(st.integers(1, 3), st.integers(0, 3), st.data())
+@settings(deadline=None, max_examples=60)
+def test_solve_modulo_is_complete(k, c, data):
+    # L has index D <= 8, so D Z^k lies in L and x + D y solves whenever x
+    # does: the box [0, D)^c holds a solution exactly when one exists
+    diag = []
+    for _ in range(k):
+        diag.append(data.draw(st.integers(1, 8 // prod(diag))))
+    low = Mat(k, k, tuple(diag[i] if i == j else data.draw(st.integers(-4, 4)) if j < i else 0
+                          for i in range(k) for j in range(k)))
+    lat = Sublattice.from_matrix(data.draw(unimodulars(k)) @ low)
+    index = lat.index_in_ambient()
+    assert index == prod(diag)
+    m = data.draw(shaped(rows=k, cols=c))
+    target = data.draw(shaped(rows=k, cols=1))
+    t = target.col(0)
+    found = any(lat.contains_vector([a - b for a, b in zip(m.apply(x), t)])
+                for x in product(range(index), repeat=c))
+    sol = solve_modulo(m, target, lat)
+    assert (sol is not None) == found
+    if sol is not None:
+        assert lat.contains_vector([a - b for a, b in zip(m.apply(sol.col(0)), t)])
 
 
 def test_solve_unsolvable():

@@ -182,19 +182,95 @@ def test_base_change_invariance_spot():
 
 
 def test_rank_24_cycle_budget():
-    # Frobenius the 24-cycle e_i -> e_(i+1), no inertia, q = 5, n = 4: the
-    # levels reach N = 5^96 - 1, and the images in (Z/N)^24 are spanned
-    # modulo N, so no entry grows past its 223 bits
-    r = 24
-    cycle = Mat.from_rows([[1 if i == (j + 1) % r else 0 for j in range(r)] for i in range(r)])
-    powers = [Mat.identity(r)]
-    while len(powers) < r:
-        powers.append(powers[-1] @ cycle)
-    form = invariant_q_upper(random.Random(0), tuple(powers), r)
-    d = validate({"rank": r, "inertia_gens": [], "frobenius": cycle.to_rows(),
-                  "q": 5, "n": 4, "Q_upper": form.to_rows()})
-    start = time.perf_counter()
-    group, trace = packet_group(d)
-    assert time.perf_counter() - start < 10
-    assert [(m, g.invariant_factors) for m, g in trace] == [(24, ()), (48, ()), (96, ())]
-    assert group.is_trivial
+    # Frobenius the r-cycle e_i -> e_(i+1), no inertia, q = 5, n = 4: the
+    # levels reach N = 5^(4r) - 1 (223 bits at r = 24), and the images in
+    # (Z/N)^r are spanned modulo N, so no entry outgrows N.  The sharp
+    # lattices are congruences mod n spanned modulo n; the rank-32 seed-2
+    # form took about 100 s when they came from an exact Smith form.
+    cases = [(24, 0, ())] + [(32, seed, (2,) if seed in (2, 3) else (4,)) for seed in range(8)]
+    for r, seed, want in cases:
+        cycle = Mat.from_rows([[1 if i == (j + 1) % r else 0 for j in range(r)]
+                               for i in range(r)])
+        powers = [Mat.identity(r)]
+        while len(powers) < r:
+            powers.append(powers[-1] @ cycle)
+        form = invariant_q_upper(random.Random(seed), tuple(powers), r)
+        d = validate({"rank": r, "inertia_gens": [], "frobenius": cycle.to_rows(),
+                      "q": 5, "n": 4, "Q_upper": form.to_rows()})
+        start = time.perf_counter()
+        group, trace = packet_group(d)
+        assert time.perf_counter() - start < 10, (r, seed)
+        assert [(m, g.invariant_factors) for m, g in trace] == \
+            [(r, want), (2 * r, want), (4 * r, want)], (r, seed)
+        assert group.invariant_factors == want
+
+
+def _direct_sum(configs):
+    """The block-diagonal sum of data with one (q, n): each part's inertia
+    generators act on its block, and Frobenius and the form are blockwise."""
+    r = sum(c["rank"] for c in configs)
+    offsets = [sum(c["rank"] for c in configs[:i]) for i in range(len(configs))]
+
+    def blocks(mats):
+        rows = []
+        for off, a in zip(offsets, mats):
+            rows += [[0] * off + list(row) + [0] * (r - off - len(row)) for row in a]
+        return rows
+
+    def ident(k):
+        return [[int(i == j) for j in range(k)] for i in range(k)]
+
+    gens = [blocks([g if j == i else ident(c["rank"]) for j, c in enumerate(configs)])
+            for i, part in enumerate(configs) for g in part["inertia_gens"]]
+    return {"rank": r, "inertia_gens": gens,
+            "frobenius": blocks([c["frobenius"] for c in configs]),
+            "q": configs[0]["q"], "n": configs[0]["n"],
+            "Q_upper": blocks([c["Q_upper"] for c in configs])}
+
+
+def _elementary_divisors(factors):
+    """The prime powers of a finite abelian group, sorted: a product of
+    groups has the union of its factors' prime powers."""
+    out = []
+    for d in factors:
+        p = 2
+        while d > 1:
+            pk = 1
+            while d % p == 0:
+                d //= p
+                pk *= p
+            if pk > 1:
+                out.append(pk)
+            p += 1
+    return sorted(out)
+
+
+FIVE_FOUR = ("split_r2_q5_n4", "minus_one_r2_q5_n4", "rot4_r2_q5_n4")
+
+
+@pytest.mark.parametrize("names", [
+    FIVE_FOUR,
+    (FIVE_FOUR * 3)[:8],
+    (FIVE_FOUR * 6)[:16],
+    ("s3_ramified_q7_n2",) * 2,
+    ("s3_ramified_q7_n2",) * 4,
+    ("swap_q3_n2",) * 16,
+    ("ramified_r1_q7_n3",) * 4,
+], ids=lambda names: f"{names[0]}-x{len(names)}" if len(set(names)) == 1
+   else f"q5_n4-x{len(names)}")
+def test_direct_sum_splits_the_packet_group(names):
+    # S(D1 + ... + Dk) = S(D1) x ... x S(Dk) level by level, in a basis
+    # that hides the blocks from every normal form.  Both sides run through
+    # the same linalg as the main path, so this is a metamorphic check, not
+    # an independent one; it reaches ranks (to 32) that the oracle cannot.
+    parts = [load_config(name) for name in names]
+    total = _direct_sum(parts)
+    r = total["rank"]
+    rng = random.Random(r)
+    d = validate(conjugated_config(total, random_unimodular(rng, r, ops=3 * r)))
+    part_data = {name: validate(load_config(name)) for name in set(names)}
+    for m in (1, 2, 3, 4):
+        each = {name: packet_group_level(pd, m).invariant_factors
+                for name, pd in part_data.items()}
+        want = sorted(x for name in names for x in _elementary_divisors(each[name]))
+        assert _elementary_divisors(packet_group_level(d, m).invariant_factors) == want, m

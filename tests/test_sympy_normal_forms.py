@@ -15,7 +15,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form  # noqa: E402
 
 from packetgroup.linalg import (Mat, Sublattice, column_hnf, congruence_lattice,  # noqa: E402
-                                kernel_lattice, quotient_invariants, smith)
+                                kernel_lattice, preimage_mod, quotient_invariants, smith)
 
 BIG = 2 ** 195
 small_entries = st.integers(-3, 3)
@@ -105,6 +105,7 @@ def test_congruence_lattice_matches_sympy(m, n):
     if n:
         dec = smith(m)
         lat = congruence_lattice(dec.V, dec.d, n)
+        assert preimage_mod(m, n) == lat
     else:
         lat = kernel_lattice(m)
     basis = _sympy(lat.basis)
