@@ -23,8 +23,9 @@ from .datum import DEFAULT_CLOSURE_CAP, DatumError, parse_matrix, validate
 from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice,
                      quotient_invariants)
 from .residue import (ContainmentViolation, LevelError, NTorsionViolation,
-                      NotStabilized, StabilizationPolicy, invariant_points,
-                      iota_image, level_modulus, packet_group, packet_group_level)
+                      NotStabilized, StabilizationPolicy, check_level,
+                      invariant_points, iota_image, level_modulus, packet_group,
+                      packet_group_level)
 from .sharp import fixed_lattice, radical_of_induced_form, y_gamma_sharp, y_sharp
 from .symbols import SymbolError, TameField, commutator, hilbert
 
@@ -263,7 +264,7 @@ def _cmd_oracle_check(args) -> dict:
     if args.oracle_cap is None:
         args.oracle_cap = args.cap
     m = args.level if args.level is not None else 1
-    n_mod = level_modulus(d.q, m)
+    check_level(d.q, m)
     checks: list[dict] = []
 
     def record(name: str, agree: bool, main_repr: Any, oracle_repr: Any) -> None:
@@ -272,14 +273,18 @@ def _cmd_oracle_check(args) -> dict:
 
     lattices = {"full": Sublattice.full(d.rank),
                 "sharp": y_sharp(d), "gamma_sharp": y_gamma_sharp(d)}
+    # the oracle goes first: its cap check refuses an over-cap level before
+    # the main path runs or N is formed here
+    brute_points = {name: oracle.brute_invariant_points(d, sub, m, cap=args.oracle_cap)
+                    for name, sub in lattices.items()}
+    n_mod = level_modulus(d.q, m)
     brute_imgs = {}
     for name in sorted(lattices):
-        sub = lattices[name]
+        sub, brute = lattices[name], brute_points[name]
         lg = invariant_points(d, sub, m)
         gens = [lg.lattice.basis.col(j) for j in range(lg.lattice.rank)]
         main_set = oracle.subgroup_from_generators(n_mod, sub.rank, gens,
                                                    cap=args.oracle_cap)
-        brute = oracle.brute_invariant_points(d, sub, m, cap=args.oracle_cap)
         record(f"invariant_points[{name}]", main_set == brute,
                len(main_set), len(brute))
         img = iota_image(d, sub, m)

@@ -4,7 +4,9 @@ Everything here enumerates group elements one by one and shares no
 normal-form code with the lattice algebra: coordinate changes are done by
 a private fraction-based Gaussian solver, subgroups by closure under
 addition, and quotient structures by coset partitioning and order
-profiles.  Caps are firm; this is not a performance path.
+profiles.  Fixed points and radicals test every x in (Z/n)^k against one
+stack of linear conditions mod n, all n values of the last coordinate at
+once per prefix.  Caps are firm and checked before any element is formed.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .datum import CoverDatum, _int_text
@@ -83,8 +86,23 @@ def _restriction_matrix(action_rows: list[list[int]],
     return [[cols[j][i] for j in range(k)] for i in range(k)]
 
 
-def _apply_mod(rows: list[list[int]], vec: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return tuple(sum(r[j] * vec[j] for j in range(len(vec))) % n for r in rows)
+def _kernel_scan(rows: list[list[int]], k: int, n: int) -> frozenset[tuple[int, ...]]:
+    """Every x in (Z/n)^k with row . x = 0 mod n for each row, testing all n^k.
+
+    Partial sums are taken once per prefix; all n last coordinates meet the
+    first row together and only the survivors meet the other rows.
+    """
+    if k == 0:
+        return frozenset({()})
+    rows = [[x % n for x in row] for row in rows]
+    lasts = [row[-1] for row in rows]
+    out = []
+    for prefix in product(range(n), repeat=k - 1):
+        s0, *partial = [sum(map(mul, row, prefix)) for row in rows]
+        for t in [t for t in range(n) if (s0 + lasts[0] * t) % n == 0]:
+            if all((s + c * t) % n == 0 for s, c in zip(partial, lasts[1:])):
+                out.append(prefix + (t,))
+    return frozenset(out)
 
 
 def brute_invariant_points(d: CoverDatum, sub: Sublattice, m: int,
@@ -92,19 +110,15 @@ def brute_invariant_points(d: CoverDatum, sub: Sublattice, m: int,
     """All fixed points of the twisted action on (Z/N)^k, by enumeration."""
     n_mod = d.q ** m - 1
     k = sub.rank
-    if n_mod ** k > cap:
-        raise CapExceeded(f"N^k = {_int_text(n_mod ** k)} exceeds the cap {cap}")
+    if (size := n_mod ** k) > cap:
+        raise CapExceeded(f"N^k = {_int_text(size)} exceeds the cap {cap}")
     basis_cols = [list(sub.basis.col(j)) for j in range(k)]
-    actions = []
-    for g in d.inertia_gens:
-        actions.append(_restriction_matrix(g.to_rows(), basis_cols))
+    actions = [_restriction_matrix(g.to_rows(), basis_cols) for g in d.inertia_gens]
     frob = _restriction_matrix(d.frobenius.to_rows(), basis_cols)
     actions.append([[d.q * x for x in row] for row in frob])
-    out = []
-    for vec in product(range(n_mod), repeat=k):
-        if all(_apply_mod(rows, vec, n_mod) == vec for rows in actions):
-            out.append(vec)
-    return frozenset(out)
+    # x is fixed by A exactly when (A - 1) x = 0
+    return _kernel_scan([[a - int(i == j) for j, a in enumerate(row)]
+                         for rows in actions for i, row in enumerate(rows)], k, n_mod)
 
 
 def brute_iota_image(points: Iterable[tuple[int, ...]], sub: Sublattice,
@@ -203,14 +217,10 @@ def brute_radical(gram_rows: Sequence[Sequence[int]], n: int,
                   cap: int = DEFAULT_CAP) -> frozenset[tuple[int, ...]]:
     """All x in (Z/n)^k with x^T gram y = 0 mod n for every y."""
     k = len(gram_rows)
-    if n ** k > cap:
-        raise CapExceeded(f"n^k = {_int_text(n ** k)} exceeds the cap {cap}")
-    out = []
-    for x in product(range(n), repeat=k):
-        row = [sum(x[i] * gram_rows[i][j] for i in range(k)) % n for j in range(k)]
-        if all(v == 0 for v in row):
-            out.append(x)
-    return frozenset(out)
+    if (size := n ** k) > cap:
+        raise CapExceeded(f"n^k = {_int_text(size)} exceeds the cap {cap}")
+    # x^T G = 0 exactly when G^T x = 0
+    return _kernel_scan([list(col) for col in zip(*gram_rows)], k, n)
 
 
 def subgroup_from_generators(modulus: int, rank: int,

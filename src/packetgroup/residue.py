@@ -36,14 +36,19 @@ class LevelError(ValueError):
 LEVEL_BITS_LIMIT = 1 << 24
 
 
-def level_modulus(q: int, m: int) -> int:
-    """N = q**m - 1 at level m, once m >= 1 and N fits the bit budget."""
+def check_level(q: int, m: int) -> None:
+    """Raise LevelError unless m >= 1 and q**m - 1 fits the bit budget."""
     if m < 1:
         raise LevelError("level must be >= 1")
     bits = m * q.bit_length()
     if bits > LEVEL_BITS_LIMIT:
         raise LevelError(f"level {m} makes q**m - 1 up to {bits} bits long, "
                          f"past the limit of {LEVEL_BITS_LIMIT} bits")
+
+
+def level_modulus(q: int, m: int) -> int:
+    """N = q**m - 1 at level m, once check_level passes."""
+    check_level(q, m)
     return q ** m - 1
 
 

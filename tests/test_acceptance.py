@@ -51,7 +51,7 @@ def test_criterion_02_oracle_equivalence_bundled(bundled_configs):
     start = time.monotonic()
     for name, cfg in sorted(bundled_configs.items()):
         d = validate(cfg)
-        levels = sorted({1, 2, 3, 4, d.gamma_exponent, 2 * d.gamma_exponent})
+        levels = sorted({*range(1, 9), d.gamma_exponent, 2 * d.gamma_exponent})
         levels = [m for m in levels
                   if (d.q ** m - 1) ** d.rank <= ORACLE_CAP]
         assert levels, name

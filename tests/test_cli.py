@@ -214,6 +214,36 @@ def test_oracle_check_cli(capsys):
     assert report["results"]["all_agree"] is True
 
 
+def test_oracle_check_over_cap_refuses_before_the_main_path(capsys):
+    """An over-cap level exits 2 having formed N and N^k once each.
+
+    The budget is counted in squarings of N at this level (N^2 has 3.2
+    Mbit), timed here, so it scales with the machine: forming N and N^2
+    once costs about 1.5 of them, while running the main path's level
+    first and forming N three times and N^2 twice costs about 3.5.
+    """
+    level = 10 ** 6
+    n_mod = 3 ** level - 1
+
+    def squaring() -> float:
+        start = time.perf_counter()
+        n_mod * n_mod
+        return time.perf_counter() - start
+
+    before = squaring()
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "oracle-check", str(CONFIG_DIR / "swap_q3_n2.json"),
+                        "--level", str(level))
+    elapsed = time.perf_counter() - start
+    unit = max(before, squaring())
+    assert code == 2
+    bits = (n_mod * n_mod).bit_length()
+    assert json.loads(out) == {"command": "oracle-check", "status": "error", "error": {
+        "kind": "CapExceeded",
+        "message": f"N^k = an integer of {bits} bits exceeds the cap 1000000"}}
+    assert elapsed < 2.5 * unit, (elapsed, unit)
+
+
 def test_oracle_mismatch_exit_code(capsys, monkeypatch):
     # wire check: a disagreeing oracle must surface as an internal failure
     import packetgroup.cli as cli_mod

@@ -1,12 +1,52 @@
+import random
+import time
+from itertools import product
+
 import pytest
 
-from packetgroup.datum import validate
+from packetgroup.datum import conjugated_config, validate
 from packetgroup.linalg import Sublattice
 from packetgroup.oracle import (CapExceeded, NotASubgroup, _abelian_chains,
-                                brute_invariant_points, brute_iota_image,
-                                brute_quotient, brute_radical, subgroup_from_generators)
+                                _restriction_matrix, brute_invariant_points,
+                                brute_iota_image, brute_quotient, brute_radical,
+                                subgroup_from_generators)
+from packetgroup.randomgen import random_unimodular, random_valid_datum
+from packetgroup.residue import invariant_points
+from packetgroup.sharp import y_gamma_sharp, y_sharp
 
-from conftest import load_config
+from conftest import BUNDLED_EXPECTED_S, load_config
+
+# largest N^k at which the per-element reference below is run, on the
+# bundled data and on random data
+BUNDLED_REFERENCE_SIZE = 2 * 10 ** 4
+RANDOM_REFERENCE_SIZE = 2 * 10 ** 3
+
+
+def _reference_invariant_points(d, sub, m):
+    """The per-element definition: apply each action mod N, compare tuples."""
+    n_mod = d.q ** m - 1
+    cols = [list(sub.basis.col(j)) for j in range(sub.rank)]
+    actions = [_restriction_matrix(g.to_rows(), cols) for g in d.inertia_gens]
+    frob = _restriction_matrix(d.frobenius.to_rows(), cols)
+    actions.append([[d.q * x for x in row] for row in frob])
+
+    def fixed(vec):
+        return all(tuple(sum(a * v for a, v in zip(row, vec)) % n_mod
+                         for row in rows) == vec for rows in actions)
+
+    return frozenset(filter(fixed, product(range(n_mod), repeat=sub.rank)))
+
+
+def _reference_levels(d, sub, bound):
+    """Every level whose (Z/N)^k has at most `bound` elements."""
+    m = 1
+    while (d.q ** m - 1) ** sub.rank <= bound:
+        yield m
+        m += 1
+
+
+def _lattices(d):
+    return (Sublattice.full(d.rank), y_sharp(d), y_gamma_sharp(d))
 
 
 def test_brute_invariant_points_examples():
@@ -82,8 +122,69 @@ def test_brute_sharp_and_subgroup_closure():
 
 def test_brute_iota_image_swap():
     swap = validate(load_config("swap_q3_n2"))
-    from packetgroup.sharp import y_gamma_sharp, y_sharp
     for lat, want in ((y_gamma_sharp(swap), {(0, 0), (1, 1)}),
                       (y_sharp(swap), {(0, 0)})):
         points = brute_invariant_points(swap, lat, 1)
         assert brute_iota_image(points, lat, swap.q - 1) == frozenset(want)
+
+
+def test_brute_invariant_points_match_the_per_element_definition():
+    rng = random.Random(1414)
+    cases = 0
+    for name in sorted(BUNDLED_EXPECTED_S):
+        cfg = load_config(name)
+        d = validate(conjugated_config(cfg, random_unimodular(rng, cfg["rank"])))
+        for sub in _lattices(d):
+            for m in _reference_levels(d, sub, BUNDLED_REFERENCE_SIZE):
+                assert brute_invariant_points(d, sub, m) == \
+                    _reference_invariant_points(d, sub, m), (name, sub, m)
+                cases += 1
+    for _ in range(100):
+        d = random_valid_datum(rng)
+        for sub in _lattices(d):
+            for m in _reference_levels(d, sub, RANDOM_REFERENCE_SIZE):
+                assert brute_invariant_points(d, sub, m) == \
+                    _reference_invariant_points(d, sub, m), (d, sub, m)
+                cases += 1
+    assert cases > 600
+
+
+def test_brute_invariant_points_rank_zero():
+    swap = validate(load_config("swap_q3_n2"))
+    assert brute_invariant_points(swap, Sublattice.zero(2), 3) == frozenset({()})
+
+
+def test_brute_radical_is_the_left_radical():
+    """x^T G = 0, not G x = 0: the seeded Gram matrices are not symmetric."""
+    rng = random.Random(77)
+    one_sided = 0
+    for _ in range(300):
+        k, n = rng.randint(1, 3), rng.randint(1, 12)
+        gram = [[rng.randrange(-n, n + 1) for _ in range(k)] for _ in range(k)]
+        elems = list(product(range(n), repeat=k))
+        left = frozenset(x for x in elems
+                         if all(sum(x[i] * gram[i][j] for i in range(k)) % n == 0
+                                for j in range(k)))
+        right = frozenset(x for x in elems
+                          if all(sum(gram[i][j] * x[j] for j in range(k)) % n == 0
+                                 for i in range(k)))
+        assert brute_radical(gram, n) == left, (gram, n)
+        one_sided += left != right
+    # a scan that transposed the condition fails on these
+    assert one_sided > 20
+    assert brute_radical([], 5) == frozenset({()})
+
+
+def test_brute_invariant_points_budget():
+    """All three lattices of swap_q3_n2 at level 6: N^2 = 529984 each, < 1.5 s."""
+    swap = validate(load_config("swap_q3_n2"))
+    lattices = _lattices(swap)
+    assert all(sub.rank == 2 for sub in lattices)
+    start = time.monotonic()
+    points = [brute_invariant_points(swap, sub, 6) for sub in lattices]
+    elapsed = time.monotonic() - start
+    for sub, pts in zip(lattices, points):
+        lg = invariant_points(swap, sub, 6)
+        gens = [lg.lattice.basis.col(j) for j in range(lg.lattice.rank)]
+        assert subgroup_from_generators(728, 2, gens) == pts, sub
+    assert elapsed < 1.5, elapsed
