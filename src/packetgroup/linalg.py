@@ -6,21 +6,22 @@ form with the lower-triangular convention: pivot rows strictly increase,
 pivots are positive, each entry in a pivot row outside the pivot column is
 reduced into [0, pivot); so lattice equality is plain value equality.  The
 HNF answers every question whose answer is a basis (spans, images, exact
-kernels and preimages, so `meet`, and inverses, off [a; I]), and back
-substitution on its pivots gives coordinates (`coords_of`,
-`restrict_endomorphism`).  A lattice known to contain D * Z^k (a subgroup
-of (Z/D)^k) is spanned modulo D, `Sublattice.from_columns(..., modulus=D)`:
-the one place where entries are reduced, and exact because the reduction
-moves rows only by vectors of the lattice.  So a congruence mod n,
-`preimage_mod`, is the preimage block [m; I] spanned modulo n.  The Smith
-form serves only where the Hermite form does not give the answer:
-`quotient_invariants` reads its diagonal, `solve_columns` (behind
-`solve_modulo`) its transforms, and `residue`'s level loop, through
-`congruence_lattice`, its V and diagonal, once per datum.
-`congruence_lattice` takes V already pushed through any matrix, so a level
-image is read off V pushed through the sub-lattice basis; and conditions
-mod n and mod n*N are stacked into one congruence mod n*N, the first
-scaled by N.
+kernels and preimages, so `meet`), and back substitution on its pivots
+gives coordinates (`coords_of`, `restrict_endomorphism`).  The HNF of
+[b; I] also solves b @ X = T (`solve_columns`, behind `solve_modulo`):
+coordinates of T in its top part, pushed through its bottom part; a base
+change's inverse is the square unimodular case.  A lattice known to
+contain D * Z^k (a subgroup of (Z/D)^k) is spanned modulo D,
+`Sublattice.from_columns(..., modulus=D)`: the one place where entries
+are reduced, and exact because the reduction moves rows only by vectors
+of the lattice.  So a congruence mod n, `preimage_mod`, is the preimage
+block [m; I] spanned modulo n.  The Smith form serves only where the
+Hermite form does not give the answer: `quotient_invariants` reads its
+diagonal, and `residue`'s level loop, through `congruence_lattice`, its
+V and diagonal, once per datum.  `congruence_lattice` takes V already
+pushed through any matrix, so a level image is read off V pushed through
+the sub-lattice basis; and conditions mod n and mod n*N are stacked into
+one congruence mod n*N, the first scaled by N.
 """
 
 from __future__ import annotations
@@ -393,26 +394,25 @@ def smith(m: Mat) -> SmithDecomposition:
 
 
 def solve_columns(b: Mat, target: Mat) -> Optional[Mat]:
-    """Integral X with b @ X == target, or None if no integral solution."""
+    """Integral X with b @ X == target, or None if no integral solution.
+
+    The column HNF of [b; I] spans the pairs (b x; x).  Its columns whose
+    top part is nonzero have tops H, the canonical basis of b's column
+    span, and bottoms W with b @ W = H (Cohen, GTM 138, section 2.4); a
+    target column solves exactly when it has coordinates c in H, by W @ c.
+    """
     if b.rows != target.rows:
         raise LatticeError("shape mismatch in solve")
-    dec = smith(b)
-    rank = len(dec.d)
-    ut = dec.U @ target
-    cols = []
-    for col in ut._columns:
-        y = [0] * b.cols
-        for i, val in enumerate(col):
-            if i < rank:
-                q, r = divmod(val, dec.d[i])
-                if r:
-                    return None
-                if i < b.cols:
-                    y[i] = q
-            elif val:
-                return None
-        cols.append(dec.V.apply(y))
-    return Mat.from_columns(cols, rows=b.cols)
+    kept = [c for c in column_hnf(b.vstack(Mat.identity(b.cols)))._columns if any(c[:b.rows])]
+    span = Sublattice(b.rows, Mat.from_columns([c[:b.rows] for c in kept], rows=b.rows))
+    coords = [span.coords_of(t) for t in target._columns]
+    if None in coords:
+        return None
+    w = Mat.from_columns([c[b.rows:] for c in kept], rows=b.cols)
+    x = w @ Mat.from_columns(coords, rows=span.rank)
+    if __debug__:
+        assert b @ x == target, "solve failed to verify"
+    return x
 
 
 def solve_modulo(m: Mat, target: Mat, lattice: "Sublattice") -> Optional[Mat]:

@@ -152,7 +152,7 @@ def dlog_table(q: int) -> tuple[int, ...]:
     p, k = prime_power_decomposition(q)
     if k != 1:
         raise NotPrimePower(f"dlog table needs a prime q, got {q} = {p}^{k}")
-    for g in range(2, q):
+    for g in range(1, q):
         seen = [False] * q
         x = 1
         count = 0

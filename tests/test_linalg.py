@@ -392,6 +392,43 @@ def test_solve_columns_roundtrip(m, data):
         assert lat.contains_vector([g - w for g, w in zip(got, want)])
 
 
+def smith_solvable(b, t):
+    """Reference criterion: with U @ b @ V = diag(d), b @ x = t has an
+    integral solution exactly when U @ t is divisible by d_i on the first
+    len(d) rows and zero below them."""
+    dec = smith(b)
+    ut = dec.U.apply(t)
+    return all(y % d == 0 for y, d in zip(ut, dec.d)) and not any(ut[len(dec.d):])
+
+
+@given(shaped(max_dim=4), st.integers(0, 2 ** 32))
+@example(Mat.from_rows([[1, 2], [2, 4]]), 0)  # a kernel, and rank below the rows
+@example(Mat.from_rows([[2], [4], [0]]), 1)  # more rows than columns
+@example(Mat.zeros(0, 3), 2)  # zero rows: every target solves
+@example(Mat.zeros(3, 0), 3)  # zero columns: only the zero target solves
+@settings(deadline=None, max_examples=150)
+def test_solve_columns_matches_smith_criterion(b, seed):
+    rng = random.Random(seed)
+    x = [rng.randint(-5, 5) for _ in range(b.cols)]
+    cols = [b.apply(x), tuple(rng.randint(-9, 9) for _ in range(b.rows))]
+    cols += [tuple(int(i == j) for i in range(b.rows)) for j in range(b.rows)]
+    cases = [(t, smith_solvable(b, t)) for t in cols]
+    # both outcomes occur: b @ x solves, and some unit vector does not
+    # unless b maps onto Z^rows
+    assert cases[0][1]
+    assert all(ok for _, ok in cases) == (smith(b).d == (1,) * b.rows)
+    for t, ok in cases:
+        assert (solve_columns(b, Mat.from_columns([t], rows=b.rows)) is None) == (not ok)
+    rng.shuffle(cases)
+    for picked in (cases, [c for c in cases if c[1]], cases[:2]):
+        target = Mat.from_columns([t for t, _ in picked], rows=b.rows)
+        sol = solve_columns(b, target)
+        assert (sol is None) == (not all(ok for _, ok in picked))
+        if sol is not None:
+            assert (sol.rows, sol.cols) == (b.cols, target.cols)
+            assert b @ sol == target
+
+
 @given(st.integers(1, 3), st.integers(0, 3), st.data())
 @settings(deadline=None, max_examples=60)
 def test_solve_modulo_is_complete(k, c, data):

@@ -52,7 +52,7 @@ def test_symbol_laws(field, va, ua, vb, ub, vc, uc):
 
 
 def test_steinberg_primes():
-    for q in (3, 5, 7, 11, 13, 101):
+    for q in (2, 3, 5, 7, 11, 13, 101):
         for n in [d for d in range(1, q) if (q - 1) % d == 0]:
             assert steinberg_violations(TameField(q, n)) == []
 
@@ -65,6 +65,8 @@ def test_dlog_table():
         assert pow(3, table[x], 7) == x
     with pytest.raises(NotPrimePower):
         dlog_table(9)
+    # F_2^x = {1} is generated by 1
+    assert dlog_table(2) == (-1, 0)
 
 
 def test_commutator_examples():
