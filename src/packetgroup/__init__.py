@@ -25,7 +25,7 @@ from .residue import (ContainmentViolation, LevelError, LevelGroup,
                       NTorsionViolation, NotStabilized, StabilizationPolicy,
                       invariant_points, iota_image, packet_group,
                       packet_group_level)
-from .sharp import fixed_lattice, radical_of_induced_form, sharp, y_gamma_sharp, y_sharp
+from .sharp import fixed_lattice, radical_of_induced_form, y_gamma_sharp, y_sharp
 from .symbols import (SplitCenterReport, SymbolError, TameElt, TameField,
                       commutator, hilbert, split_center_image)
 

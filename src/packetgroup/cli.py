@@ -316,14 +316,7 @@ def _cmd_oracle_check(args) -> dict:
                         "all_agree": all(c["agree"] for c in checks)}
     if not report["results"]["all_agree"]:
         report["status"] = "mismatch"
-        raise OracleMismatchReport(report)
     return report
-
-
-class OracleMismatchReport(RuntimeError):
-    def __init__(self, report: dict):
-        super().__init__("main path and oracle disagree")
-        self.report = report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,9 +388,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         report = args.handler(args)
-    except OracleMismatchReport as ex:
-        _emit(ex.report, args.format)
-        return EXIT_INTERNAL
     except NotStabilized as ex:
         report = error_report("NotStabilized", str(ex))
         report["trace"] = [{"level": m, "invariant_factors": list(g.invariant_factors)}
@@ -416,7 +406,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         _emit(error_report("IOError", str(ex)), args.format)
         return EXIT_CONFIG
     _emit(report, args.format)
-    return EXIT_OK
+    return EXIT_INTERNAL if report["status"] == "mismatch" else EXIT_OK
 
 
 if __name__ == "__main__":

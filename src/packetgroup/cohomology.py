@@ -267,8 +267,8 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
     is the inertia-fixed part of that preimage and the left term the
     kernel of the induced map, a copy of the inertia-fixed n-torsion
     quotient.  Taking inertia invariants preserves exactness exactly when
-    gcd(n, e) = 1; exactness is not enforced here so that failures can be
-    observed on hypothesis-violating data.
+    gcd(n, e) = 1; exactness is not enforced here, so failures show on
+    data made by `dataclasses.replace` of n on a validated datum.
 
     For the connecting map to reach all of h1 of the left term, m should
     be a multiple of the order of the Frobenius matrix (the datum's group

@@ -285,12 +285,12 @@ def matrix_inverse_unimodular(a: Mat) -> Mat:
 
 
 def validate(config: Mapping[str, object], *,
-             closure_cap: int = DEFAULT_CLOSURE_CAP,
-             allow_gcd_violation: bool = False) -> CoverDatum:
+             closure_cap: int = DEFAULT_CLOSURE_CAP) -> CoverDatum:
     """Validate a raw configuration and return the derived CoverDatum.
 
-    `allow_gcd_violation` is a test hook that admits data with
-    gcd(n, e) != 1; every other check still runs.
+    Every returned datum satisfies gcd(n, e) = 1; CoverDatum itself runs
+    no checks, so data violating that hypothesis are built by
+    `dataclasses.replace` on a validated datum.
     """
     if closure_cap < 1:
         raise ConfigError(f"closure_cap must be >= 1, got {closure_cap}")
@@ -358,7 +358,7 @@ def validate(config: Mapping[str, object], *,
     group = set(inertia)
     _close(group, list(inertia), perms[-1:], closure_cap)
 
-    if not allow_gcd_violation and gcd(n, e) != 1:
+    if gcd(n, e) != 1:
         raise RamificationGcdError(
             f"cover degree n = {n} shares a factor with the ramification index e = {e}")
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 from math import gcd
-from typing import Optional
 
 from .cohomology import TameModule
 from .datum import (CoverDatum, conjugated_config, fold_upper,
@@ -71,11 +70,8 @@ def invariant_q_upper(rng: random.Random, group: tuple[Mat, ...], r: int) -> Mat
     return fold_upper(total)
 
 
-def _admissible_degrees(q: int, e: int, max_n: Optional[int] = None) -> list[int]:
-    out = [n for n in range(1, q) if (q - 1) % n == 0 and gcd(n, e) == 1]
-    if max_n is not None:
-        out = [n for n in out if n <= max_n]
-    return out
+def _admissible_degrees(q: int, e: int) -> list[int]:
+    return [n for n in range(1, q) if (q - 1) % n == 0 and gcd(n, e) == 1]
 
 
 def random_split_config(rng: random.Random) -> dict:
@@ -83,70 +79,59 @@ def random_split_config(rng: random.Random) -> dict:
     degree n <= 12."""
     r = rng.choice((1, 2, 3, 4))
     q = rng.choice(_DATUM_QS)
-    n = rng.choice(_admissible_degrees(q, 1, 12))
+    n = rng.choice(_admissible_degrees(q, 1))
     ident = Mat.identity(r)
     q_upper = invariant_q_upper(rng, (ident,), r)
     return {"rank": r, "inertia_gens": [], "frobenius": ident.to_rows(),
             "q": q, "n": n, "Q_upper": q_upper.to_rows()}
 
 
-def random_config(rng: random.Random, *, ranks=(1, 2, 3),
-                  force_gcd_violation: bool = False) -> dict:
-    """Random valid datum configuration (or one violating gcd(n, e) = 1).
+def random_config(rng: random.Random, *, ranks=(1, 2, 3)) -> dict:
+    """Random valid datum configuration.
 
     Structures drawn: split, unramified (finite-order Frobenius only),
     abelian ramified (commuting inertia and Frobenius), and dihedral
     (Frobenius inverting a cyclic inertia).  Everything is conjugated by
     a random unimodular matrix, and the form is produced by averaging a
-    random seed form over the group.
+    random seed form over the group.  The degree n is drawn from the
+    divisors of q - 1 prime to e, so `validate` accepts every draw.
     """
-    for _ in range(200):
-        r = rng.choice(list(ranks))
-        q = rng.choice(_DATUM_QS)
-        ident = Mat.identity(r)
-        style = rng.choice(["split", "unramified", "abelian", "dihedral"])
-        if force_gcd_violation and style in ("split", "unramified"):
-            style = "abelian"
-        inertia: list[Mat]
-        if style == "split":
-            inertia, frob = [], ident
-        elif style == "unramified":
-            inertia, frob = [], random_signed_permutation(rng, r)
-        elif style == "abelian":
-            sigma = random_signed_permutation(rng, r)
-            inertia = [sigma]
-            # a power of sigma commutes with it and keeps the group abelian
-            frob = sigma if rng.random() < 0.5 else ident
-            if rng.random() < 0.5:
-                frob = frob @ sigma
-        else:  # dihedral: frobenius conjugates the cycle to its inverse
-            if r == 1:
-                inertia, frob = [Mat.from_rows([[-1]])], ident
-            else:
-                cycle, rev = _cycle_with_reverser(r, rng.randint(2, r))
-                inertia, frob = [cycle], rev
-        p = random_unimodular(rng, r)
-        base = {"rank": r, "inertia_gens": [g.to_rows() for g in inertia],
-                "frobenius": frob.to_rows(), "q": q,
-                "n": 1, "Q_upper": Mat.zeros(r, r).to_rows()}
-        probe = validate(base)
-        if force_gcd_violation:
-            degrees = [n for n in range(2, q) if (q - 1) % n == 0
-                       and gcd(n, probe.e) > 1]
-            if not degrees:
-                continue
+    r = rng.choice(list(ranks))
+    q = rng.choice(_DATUM_QS)
+    ident = Mat.identity(r)
+    style = rng.choice(["split", "unramified", "abelian", "dihedral"])
+    inertia: list[Mat]
+    if style == "split":
+        inertia, frob = [], ident
+    elif style == "unramified":
+        inertia, frob = [], random_signed_permutation(rng, r)
+    elif style == "abelian":
+        sigma = random_signed_permutation(rng, r)
+        inertia = [sigma]
+        # a power of sigma commutes with it and keeps the group abelian
+        frob = sigma if rng.random() < 0.5 else ident
+        if rng.random() < 0.5:
+            frob = frob @ sigma
+    else:  # dihedral: frobenius conjugates the cycle to its inverse
+        if r == 1:
+            inertia, frob = [Mat.from_rows([[-1]])], ident
         else:
-            degrees = _admissible_degrees(q, probe.e)
-        base["n"] = rng.choice(degrees)
-        if rng.random() < 0.4:
-            # scaled identity form; invariant since the generators above
-            # are all signed permutations before the base change
-            q_upper = Mat.identity(r).scale(rng.randint(1, 3))
-        else:
-            q_upper = invariant_q_upper(rng, probe.group_elements, r)
-        base["Q_upper"] = q_upper.to_rows()
-        return conjugated_config(base, p)
-    raise ValueError("no admissible configuration found for the requested constraints")
+            cycle, rev = _cycle_with_reverser(r, rng.randint(2, r))
+            inertia, frob = [cycle], rev
+    p = random_unimodular(rng, r)
+    base = {"rank": r, "inertia_gens": [g.to_rows() for g in inertia],
+            "frobenius": frob.to_rows(), "q": q,
+            "n": 1, "Q_upper": Mat.zeros(r, r).to_rows()}
+    probe = validate(base)
+    base["n"] = rng.choice(_admissible_degrees(q, probe.e))
+    if rng.random() < 0.4:
+        # scaled identity form; invariant since the generators above
+        # are all signed permutations before the base change
+        q_upper = Mat.identity(r).scale(rng.randint(1, 3))
+    else:
+        q_upper = invariant_q_upper(rng, probe.group_elements, r)
+    base["Q_upper"] = q_upper.to_rows()
+    return conjugated_config(base, p)
 
 
 def random_valid_datum(rng: random.Random, **kw) -> CoverDatum:

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .datum import CoverDatum
-from .linalg import (FinAbGroup, LatticeError, Mat, SmithDecomposition, Sublattice,
-                     congruence_lattice, fixed_point_conditions, quotient_invariants,
-                     restrict_endomorphism, smith)
+from .linalg import (FinAbGroup, LatticeError, Mat, NotASublattice, SmithDecomposition,
+                     Sublattice, congruence_lattice, fixed_point_conditions,
+                     quotient_invariants, restrict_endomorphism, smith)
 from .sharp import y_gamma_sharp, y_sharp
 
 
@@ -162,10 +162,11 @@ def packet_group(d: CoverDatum,
     trace: list[tuple[int, FinAbGroup]] = []
     while m <= policy.max_level:
         big, small = (_points(d, w, diag, m) for w, diag in pushed)
-        if not big.lattice.contains(small.lattice):
+        try:
+            group = quotient_invariants(big.lattice, small.lattice)
+        except NotASublattice:
             raise ContainmentViolation(
-                f"sharp image not contained in gamma-sharp image at level {m}")
-        group = quotient_invariants(big.lattice, small.lattice)
+                f"sharp image not contained in gamma-sharp image at level {m}") from None
         if any(d.n % f for f in group.invariant_factors):
             raise NTorsionViolation(
                 f"invariant factors {group.invariant_factors} do not all divide n = {d.n}")

@@ -1,7 +1,10 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
+
+from packetgroup.datum import CoverDatum, validate
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -22,9 +25,27 @@ BUNDLED_EXPECTED_S = {
 SWAP_LEVEL_S = {1: (2,), 2: (), 3: (2,), 4: ()}
 RAMIFIED_R1_LEVEL_S = {1: (), 2: (), 3: (), 4: ()}
 
+# A ramified datum with a nontrivial packet group: inertia the 3-cycle on
+# Z^3 and Frobenius minus the transposition inverting it, so e = 3 and
+# |Gamma| = 6; S = Z/2, checked against the oracle at levels 1 and 2.  It is
+# kept out of configs/, whose files are the benchmark's oracle inputs.
+RAMIFIED_CYCLE3 = {"rank": 3, "inertia_gens": [[[0, 0, 1], [1, 0, 0], [0, 1, 0]]],
+                   "frobenius": [[-1, 0, 0], [0, 0, -1], [0, -1, 0]],
+                   "q": 5, "n": 4, "Q_upper": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
 
 def load_config(name: str) -> dict:
     return json.loads((CONFIG_DIR / f"{name}.json").read_text())
+
+
+def gcd_violating_datum(config: dict) -> CoverDatum:
+    """The datum of `config` with its degree n kept even where gcd(n, e) > 1.
+
+    `validate` rejects such data, but n enters it only through (q - 1) % n
+    and gcd(n, e), and CoverDatum runs no checks of its own: validating at
+    n = 1 and then replacing n gives the datum the hypothesis excludes.
+    """
+    return dataclasses.replace(validate(config | {"n": 1}), n=config["n"])
 
 
 def permutation_group_config(family: str, r: int) -> dict:

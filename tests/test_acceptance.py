@@ -5,6 +5,7 @@ complete.  Every tolerance is exact; the timed criteria assert their wall
 clock budgets.
 """
 
+import dataclasses
 import json
 import random
 import time
@@ -24,7 +25,7 @@ from packetgroup.sharp import radical_of_induced_form, y_gamma_sharp, y_sharp
 from packetgroup.symbols import (TameField, elt_mul, elt_neg, hilbert,
                                  split_center_image, steinberg_violations)
 
-from conftest import BUNDLED_EXPECTED_S, CONFIG_DIR
+from conftest import BUNDLED_EXPECTED_S, CONFIG_DIR, gcd_violating_datum
 
 ORACLE_CAP = 10 ** 6
 
@@ -114,7 +115,7 @@ def test_criterion_04_base_change_invariance(bundled_configs):
 
 def test_criterion_05_connecting_surrogate():
     """Exactness and full connecting image for 100 valid data; failures
-    observed on gcd-violating data admitted through the bypass hook."""
+    observed on data whose degree n shares a factor with e."""
     rng = random.Random(505)
     for _ in range(100):
         d = random_valid_datum(rng, ranks=(1, 2, 3))
@@ -123,7 +124,8 @@ def test_criterion_05_connecting_surrogate():
         assert image_of_connecting(ses) == h0_h1(ses.left)[1], d
 
     # constructed gcd-violating data: hand-built controls plus random draws
-    violating = [
+    # with n replaced by a divisor of q - 1 sharing a factor with e
+    violating = [gcd_violating_datum(cfg) for cfg in (
         {"rank": 2, "inertia_gens": [[[-1, 0], [0, -1]]],
          "frobenius": [[1, 0], [0, 1]], "q": 5, "n": 2,
          "Q_upper": [[0, 1], [0, 0]]},
@@ -132,12 +134,14 @@ def test_criterion_05_connecting_surrogate():
          "Q_upper": [[1, 0], [0, 1]]},
         {"rank": 1, "inertia_gens": [[[-1]]], "frobenius": [[1]],
          "q": 13, "n": 2, "Q_upper": [[1]]},
-    ]
+    )]
     while len(violating) < 12:
-        violating.append(random_config(rng, force_gcd_violation=True))
+        d = validate(random_config(rng))
+        degrees = [n for n in range(2, d.q) if (d.q - 1) % n == 0 and gcd(n, d.e) > 1]
+        if degrees:
+            violating.append(dataclasses.replace(d, n=rng.choice(degrees)))
     failures = 0
-    for cfg in violating:
-        d = validate(cfg, allow_gcd_violation=True)
+    for d in violating:
         assert gcd(d.n, d.e) > 1
         ses = residue_sharp_sequence(d, d.gamma_exponent)
         if exactness_failures(ses):

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packetgroup import oracle
+from packetgroup import oracle, residue
 from packetgroup.cli import _any_int_digits, _load_config, main
-from packetgroup.datum import Q_LIMIT
+from packetgroup.datum import Q_LIMIT, validate
 from packetgroup.residue import LEVEL_BITS_LIMIT
 
-from conftest import CONFIG_DIR, REPO_ROOT
+from conftest import CONFIG_DIR, RAMIFIED_CYCLE3, REPO_ROOT
 
 
 def run_cli(capsys, *argv):
@@ -214,6 +214,18 @@ def test_oracle_check_cli(capsys):
     assert report["results"]["all_agree"] is True
 
 
+@pytest.mark.parametrize("level", [1, 2])
+def test_oracle_check_ramified_cycle3(capsys, tmp_path, level):
+    path = tmp_path / "cycle3.json"
+    path.write_text(json.dumps(RAMIFIED_CYCLE3))
+    code, out = run_cli(capsys, "oracle-check", str(path), "--level", str(level))
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["all_agree"] is True
+    level_check = next(c for c in results["checks"] if c["check"] == "packet_group_level")
+    assert level_check["main"] == level_check["oracle"] == [2]
+
+
 def test_oracle_check_over_cap_refuses_before_the_main_path(capsys):
     """An over-cap level exits 2 having formed N and N^k once each.
 
@@ -280,6 +292,21 @@ def test_internal_error_exit_codes(capsys, monkeypatch, error, exit_code):
     report = json.loads(out)
     assert report["status"] == "error"
     assert report["error"] == {"kind": type(error).__name__, "message": str(error)}
+
+
+def test_containment_violation_exit_code(capsys, monkeypatch):
+    # swapping the two sharp lattices puts the larger image on the small side
+    y_sharp, y_gamma_sharp = residue.y_sharp, residue.y_gamma_sharp
+    monkeypatch.setattr(residue, "y_sharp", y_gamma_sharp)
+    monkeypatch.setattr(residue, "y_gamma_sharp", y_sharp)
+    message = "sharp image not contained in gamma-sharp image at level 2"
+    name = CONFIG_DIR / "minus_one_r2_q5_n4.json"
+    with pytest.raises(residue.ContainmentViolation, match=message):
+        residue.packet_group(validate(json.loads(name.read_text())))
+    code, out = run_cli(capsys, "packet-group", str(name))
+    assert code == 4
+    report = json.loads(out)
+    assert report["error"] == {"kind": "ContainmentViolation", "message": message}
 
 
 def test_load_config_closes_file(tmp_path):

@@ -14,7 +14,7 @@ from packetgroup.datum import NotPrimePower, validate
 from packetgroup.linalg import Mat, Sublattice
 from packetgroup.randomgen import random_tame_module
 
-from conftest import load_config
+from conftest import gcd_violating_datum, load_config
 
 
 def cyclic(n, mult, q):
@@ -168,10 +168,10 @@ def test_residue_sequence_bundled():
 
 
 def test_residue_sequence_gcd_violation_fails():
-    bad = validate({"rank": 2, "inertia_gens": [[[-1, 0], [0, -1]]],
-                    "frobenius": [[1, 0], [0, 1]],
-                    "q": 5, "n": 2, "Q_upper": [[0, 1], [0, 0]]},
-                   allow_gcd_violation=True)
+    bad = gcd_violating_datum({"rank": 2, "inertia_gens": [[[-1, 0], [0, -1]]],
+                               "frobenius": [[1, 0], [0, 1]],
+                               "q": 5, "n": 2, "Q_upper": [[0, 1], [0, 0]]})
+    assert gcd(bad.n, bad.e) == 2
     ses = residue_sharp_sequence(bad, bad.gamma_exponent)
     fails = exactness_failures(ses)
     assert any("surjective" in f for f in fails)

@@ -15,7 +15,7 @@ from packetgroup.datum import (ConfigError, DeterminantError, FormNotInvariant,
 from packetgroup.linalg import Mat
 from packetgroup.randomgen import random_config, random_unimodular
 
-from conftest import load_config, permutation_group_config
+from conftest import gcd_violating_datum, load_config, permutation_group_config
 
 
 def test_validate_swap_example():
@@ -37,7 +37,7 @@ def test_gcd_violation_rejected():
     cfg = load_config("ramified_r1_q7_n3") | {"n": 2}
     with pytest.raises(RamificationGcdError, match="ramification index"):
         validate(cfg)
-    d = validate(cfg, allow_gcd_violation=True)
+    d = gcd_violating_datum(cfg)
     assert d.n == 2 and d.e == 2
 
 

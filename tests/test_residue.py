@@ -11,8 +11,8 @@ from packetgroup.residue import (LevelError, LevelGroup, NotStabilized,
                                  packet_group, packet_group_level)
 from packetgroup.sharp import y_gamma_sharp, y_sharp
 
-from conftest import (BUNDLED_EXPECTED_S, RAMIFIED_R1_LEVEL_S, SWAP_LEVEL_S,
-                      load_config)
+from conftest import (BUNDLED_EXPECTED_S, RAMIFIED_CYCLE3, RAMIFIED_R1_LEVEL_S,
+                      SWAP_LEVEL_S, load_config)
 
 
 def test_invariant_points_swap_level1():
@@ -86,6 +86,28 @@ def test_packet_group_bundled(bundled_configs):
         assert group.invariant_factors == BUNDLED_EXPECTED_S[name], name
         assert len(trace) >= 3
         assert [m for m, _ in trace][:2] == [d.gamma_exponent, 2 * d.gamma_exponent]
+
+
+def test_ramified_cycle3_packet_group():
+    d = validate(RAMIFIED_CYCLE3)
+    assert (d.e, d.group_order, d.gamma_exponent) == (3, 6, 6)
+    _, trace = packet_group(d)
+    assert [(m, g.invariant_factors) for m, g in trace] == [(6, (2,)), (12, (2,)), (24, (2,))]
+    rng = random.Random(303)
+    for _ in range(3):
+        moved = conjugated_config(RAMIFIED_CYCLE3, random_unimodular(rng, 3))
+        assert packet_group(validate(moved))[0].invariant_factors == (2,)
+
+
+@pytest.mark.parametrize("change, expected", [
+    ({"Q_upper": [[2, 0, 0], [0, 2, 0], [0, 0, 2]]}, ()),
+    ({"frobenius": [[1, 0, 0], [0, 0, 1], [0, 1, 0]]}, ()),
+    ({"q": 17, "n": 4}, (2,)),
+    ({"q": 17, "n": 16}, (2,)),
+], ids=["form_2I", "frobenius_plus_transposition", "q17_n4", "q17_n16"])
+def test_ramified_cycle3_variants(change, expected):
+    group, _ = packet_group(validate(RAMIFIED_CYCLE3 | change))
+    assert group.invariant_factors == expected
 
 
 def test_packet_group_split_and_degree_one():

@@ -1,8 +1,14 @@
-"""Every name a module imports is used in it (``__init__`` re-exports by design)."""
+"""Import hygiene: every name a module imports is used in it (``__init__``
+re-exports by design), and no re-export hides a submodule of the package."""
 
 import ast
+import importlib
+import pkgutil
+import sys
 
 import pytest
+
+import packetgroup
 
 from conftest import REPO_ROOT
 
@@ -30,3 +36,20 @@ def test_no_unused_imports(path):
 
 def test_scan_flags_an_unused_import():
     assert _unused_imports("from x import a, b\nimport c.d\nprint(b)\n") == ["a", "c"]
+
+
+SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(packetgroup.__path__))
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_package_attribute_is_the_submodule(name):
+    importlib.import_module(f"packetgroup.{name}")
+    assert getattr(packetgroup, name) is sys.modules[f"packetgroup.{name}"]
+
+
+def test_string_target_monkeypatch_reaches_the_submodule(monkeypatch):
+    def fake(d):
+        return None
+
+    monkeypatch.setattr("packetgroup.sharp.y_sharp", fake)
+    assert sys.modules["packetgroup.sharp"].y_sharp is fake
