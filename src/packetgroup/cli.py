@@ -3,7 +3,9 @@
 Subcommands: validate | sharp | packet-group | cohomology | hilbert |
 commutator | oracle-check.  Reports are JSON objects with sorted keys
 (or an equally deterministic text rendering), so identical inputs produce
-byte-identical output.  Exit codes: 0 success, 2 validation or
+byte-identical output.  Each handler returns the payload whose digest the
+report carries and the report's sections; `main` adds the rest (command,
+input_digest, seed, status).  Exit codes: 0 success, 2 validation or
 configuration error, 3 stabilization failure, 4 internal assertion or
 oracle mismatch.
 """
@@ -41,7 +43,7 @@ def _digest(payload: Any) -> str:
 
 
 def _lattice_rows(lat: Sublattice) -> list[list[int]]:
-    return [list(lat.basis.col(j)) for j in range(lat.rank)]
+    return [list(col) for col in lat.basis.columns()]
 
 
 def _group_factors(g: FinAbGroup) -> list[int]:
@@ -101,16 +103,10 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _base_report(command: str, payload: Any, seed: Optional[int]) -> dict:
-    return {"command": command, "input_digest": _digest(payload),
-            "seed": seed, "status": "ok"}
-
-
-def _cmd_validate(args) -> dict:
+def _cmd_validate(args) -> tuple[Any, dict]:
     config = _load_config(args.config)
     d = validate(config, closure_cap=args.cap)
-    report = _base_report("validate", config, args.seed)
-    report["results"] = {
+    return config, {"results": {
         "rank": d.rank,
         "q": d.q,
         "n": d.n,
@@ -119,18 +115,16 @@ def _cmd_validate(args) -> dict:
         "group_order": d.group_order,
         "group_exponent": d.gamma_exponent,
         "bilinear_form": d.bilinear.to_rows(),
-    }
-    return report
+    }}
 
 
-def _cmd_sharp(args) -> dict:
+def _cmd_sharp(args) -> tuple[Any, dict]:
     config = _load_config(args.config)
     d = validate(config, closure_cap=args.cap)
     fixed = fixed_lattice(d)
     sharp_full = y_sharp(d)
     sharp_gamma = y_gamma_sharp(d)
-    report = _base_report("sharp", config, args.seed)
-    report["results"] = {
+    return config, {"results": {
         "fixed_lattice": _lattice_rows(fixed),
         "sharp": _lattice_rows(sharp_full),
         "gamma_sharp": _lattice_rows(sharp_gamma),
@@ -138,28 +132,27 @@ def _cmd_sharp(args) -> dict:
             quotient_invariants(Sublattice.full(d.rank), sharp_full)),
         "gamma_sharp_over_sharp": _group_factors(
             quotient_invariants(sharp_gamma, sharp_full)),
-    }
-    return report
+    }}
 
 
-def _cmd_packet_group(args) -> dict:
+def _cmd_packet_group(args) -> tuple[Any, dict]:
     config = _load_config(args.config)
     d = validate(config, closure_cap=args.cap)
     policy = StabilizationPolicy(start_level=args.level,
                                  stable_repeats=args.stable_repeats,
                                  max_level=args.max_level)
     group, trace = packet_group(d, policy)
-    report = _base_report("packet-group", config, args.seed)
-    report["results"] = {"invariant_factors": _group_factors(group)}
-    report["diagnostics"] = {
-        "levels_used": [m for m, _ in trace],
-        "trace": [{"level": m, "invariant_factors": _group_factors(g)}
-                  for m, g in trace],
-        "policy": {"start_level": policy.start_level or d.gamma_exponent,
-                   "stable_repeats": policy.stable_repeats,
-                   "max_level": policy.max_level},
+    return config, {
+        "results": {"invariant_factors": _group_factors(group)},
+        "diagnostics": {
+            "levels_used": [m for m, _ in trace],
+            "trace": [{"level": m, "invariant_factors": _group_factors(g)}
+                      for m, g in trace],
+            "policy": {"start_level": policy.start_level or d.gamma_exponent,
+                       "stable_repeats": policy.stable_repeats,
+                       "max_level": policy.max_level},
+        },
     }
-    return report
 
 
 def _parse_module(config: Any) -> TameModule:
@@ -186,12 +179,11 @@ def _parse_module(config: Any) -> TameModule:
     return TameModule(relations, sigma, phi, e, q)
 
 
-def _cmd_cohomology(args) -> dict:
+def _cmd_cohomology(args) -> tuple[Any, dict]:
     config = _load_config(args.config)
     module = _parse_module(config)
     coh = tame_h(module)
     unr_h0, unr_h1 = coh.h0_unr, coh.h1_unr
-    report = _base_report("cohomology", config, args.seed)
     results = {
         "group": _group_factors(module.group()),
         "sizes": {"h0": coh.sizes[0], "h1": coh.sizes[1], "h2": coh.sizes[2]},
@@ -216,8 +208,7 @@ def _cmd_cohomology(args) -> dict:
         }
     except ModuleError as ex:
         results["counting"] = {"n": n, "skipped": str(ex)}
-    report["results"] = results
-    return report
+    return config, {"results": results}
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
@@ -229,18 +220,16 @@ def _parse_pair(text: str) -> tuple[int, int]:
     return v, u
 
 
-def _cmd_hilbert(args) -> dict:
+def _cmd_hilbert(args) -> tuple[Any, dict]:
     f = TameField(args.q, args.n)
     va, ua = _parse_pair(args.a)
     vb, ub = _parse_pair(args.b)
     value = hilbert(f, f.element(va, ua), f.element(vb, ub))
     payload = {"q": args.q, "n": args.n, "a": [va, ua], "b": [vb, ub]}
-    report = _base_report("hilbert", payload, args.seed)
-    report["results"] = {"value": value}
-    return report
+    return payload, {"results": {"value": value}}
 
 
-def _cmd_commutator(args) -> dict:
+def _cmd_commutator(args) -> tuple[Any, dict]:
     f = TameField(args.q, args.n)
     try:
         b_rows = json.loads(args.form)
@@ -253,16 +242,13 @@ def _cmd_commutator(args) -> dict:
     t = [f.element(v, u) for v, u in parse_matrix(t_pairs, "t", 2).to_rows()]
     value = commutator(f, b, s, t)
     payload = {"q": args.q, "n": args.n, "B": b_rows, "s": s_pairs, "t": t_pairs}
-    report = _base_report("commutator", payload, args.seed)
-    report["results"] = {"value": value}
-    return report
+    return payload, {"results": {"value": value}}
 
 
-def _cmd_oracle_check(args) -> dict:
+def _cmd_oracle_check(args) -> tuple[Any, dict]:
     config = _load_config(args.config)
     d = validate(config, closure_cap=args.cap)
-    if args.oracle_cap is None:
-        args.oracle_cap = args.cap
+    cap = args.cap if args.oracle_cap is None else args.oracle_cap
     m = args.level if args.level is not None else 1
     check_level(d.q, m)
     checks: list[dict] = []
@@ -275,22 +261,18 @@ def _cmd_oracle_check(args) -> dict:
                 "sharp": y_sharp(d), "gamma_sharp": y_gamma_sharp(d)}
     # the oracle goes first: its cap check refuses an over-cap level before
     # the main path runs or N is formed here
-    brute_points = {name: oracle.brute_invariant_points(d, sub, m, cap=args.oracle_cap)
+    brute_points = {name: oracle.brute_invariant_points(d, sub, m, cap=cap)
                     for name, sub in lattices.items()}
     n_mod = level_modulus(d.q, m)
     brute_imgs = {}
     for name in sorted(lattices):
         sub, brute = lattices[name], brute_points[name]
-        lg = invariant_points(d, sub, m)
-        gens = [lg.lattice.basis.col(j) for j in range(lg.lattice.rank)]
-        main_set = oracle.subgroup_from_generators(n_mod, sub.rank, gens,
-                                                   cap=args.oracle_cap)
+        gens = invariant_points(d, sub, m).lattice.basis.columns()
+        main_set = oracle.subgroup_from_generators(n_mod, sub.rank, gens, cap=cap)
         record(f"invariant_points[{name}]", main_set == brute,
                len(main_set), len(brute))
-        img = iota_image(d, sub, m)
-        img_gens = [img.lattice.basis.col(j) for j in range(img.lattice.rank)]
-        main_img = oracle.subgroup_from_generators(n_mod, d.rank, img_gens,
-                                                   cap=args.oracle_cap)
+        img_gens = iota_image(d, sub, m).lattice.basis.columns()
+        main_img = oracle.subgroup_from_generators(n_mod, d.rank, img_gens, cap=cap)
         brute_img = oracle.brute_iota_image(brute, sub, n_mod)
         brute_imgs[name] = brute_img
         record(f"iota_image[{name}]", main_img == brute_img,
@@ -298,25 +280,22 @@ def _cmd_oracle_check(args) -> dict:
 
     level_group = packet_group_level(d, m)
     brute_group = oracle.brute_quotient(
-        n_mod, brute_imgs["gamma_sharp"], brute_imgs["sharp"], cap=args.oracle_cap)
+        n_mod, brute_imgs["gamma_sharp"], brute_imgs["sharp"], cap=cap)
     record("packet_group_level", level_group == brute_group,
            _group_factors(level_group), _group_factors(brute_group))
 
     radical = radical_of_induced_form(d, lattices["sharp"], lattices["sharp"])
-    brute_rad = oracle.brute_radical(d.bilinear.to_rows(), d.n, cap=args.oracle_cap)
-    sharp_gens = [lattices["sharp"].basis.col(j)
-                  for j in range(lattices["sharp"].rank)]
-    sharp_set = oracle.subgroup_from_generators(d.n, d.rank, sharp_gens,
-                                                cap=args.oracle_cap)
+    brute_rad = oracle.brute_radical(d.bilinear.to_rows(), d.n, cap=cap)
+    sharp_set = oracle.subgroup_from_generators(
+        d.n, d.rank, lattices["sharp"].basis.columns(), cap=cap)
     record("radical", radical.is_trivial and sharp_set == brute_rad,
            _group_factors(radical), len(brute_rad))
 
-    report = _base_report("oracle-check", config, args.seed)
-    report["results"] = {"level": m, "checks": checks,
-                        "all_agree": all(c["agree"] for c in checks)}
-    if not report["results"]["all_agree"]:
-        report["status"] = "mismatch"
-    return report
+    all_agree = all(c["agree"] for c in checks)
+    sections = {"results": {"level": m, "checks": checks, "all_agree": all_agree}}
+    if not all_agree:
+        sections["status"] = "mismatch"
+    return config, sections
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -378,35 +357,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     def error_report(kind: str, message: str) -> dict:
         return {"command": args.subcommand, "status": "error",
                 "error": {"kind": kind, "message": message}}
 
     try:
-        report = args.handler(args)
+        payload, sections = args.handler(args)
+        report = {"command": args.subcommand, "input_digest": _digest(payload),
+                  "seed": args.seed, "status": "ok", **sections}
     except NotStabilized as ex:
-        report = error_report("NotStabilized", str(ex))
-        report["trace"] = [{"level": m, "invariant_factors": list(g.invariant_factors)}
+        report, code = error_report("NotStabilized", str(ex)), EXIT_NOT_STABILIZED
+        report["trace"] = [{"level": m, "invariant_factors": _group_factors(g)}
                            for m, g in ex.trace]
-        _emit(report, args.format)
-        return EXIT_NOT_STABILIZED
     except (DatumError, ModuleError, SymbolError, LatticeError, LevelError,
             oracle.CapExceeded) as ex:
-        _emit(error_report(type(ex).__name__, str(ex)), args.format)
-        return EXIT_CONFIG
+        report, code = error_report(type(ex).__name__, str(ex)), EXIT_CONFIG
     except (ContainmentViolation, NTorsionViolation, AssertionError, ValueError,
             oracle.NotASubgroup, oracle.AmbiguousOrderProfile) as ex:
-        _emit(error_report(type(ex).__name__, str(ex)), args.format)
-        return EXIT_INTERNAL
+        report, code = error_report(type(ex).__name__, str(ex)), EXIT_INTERNAL
     except OSError as ex:
-        _emit(error_report("IOError", str(ex)), args.format)
-        return EXIT_CONFIG
+        report, code = error_report("IOError", str(ex)), EXIT_CONFIG
+    else:
+        code = EXIT_INTERNAL if report["status"] == "mismatch" else EXIT_OK
     _emit(report, args.format)
-    return EXIT_INTERNAL if report["status"] == "mismatch" else EXIT_OK
+    return code
 
 
 if __name__ == "__main__":

@@ -153,11 +153,21 @@ def brute_quotient(modulus: int, amb_elems: Iterable[tuple[int, ...]],
         zero = tuple(0 for _ in sample)
         if zero not in group:
             raise NotASubgroup("missing zero vector")
-        for a in group:
-            for b in group:
-                s = tuple((x + y) % modulus for x, y in zip(a, b))
-                if s not in group:
-                    raise NotASubgroup("set is not closed under addition")
+        # closed under addition exactly when the set is its own span; in
+        # sorted order each element outside the span so far joins the
+        # generators and at least doubles the span, so the span is rebuilt
+        # at most log2 |set| times, and one past the set's size hits the cap
+        gens, span = [], frozenset({zero})
+        try:
+            for x in sorted(group):
+                if x not in span:
+                    gens.append(x)
+                    span = subgroup_from_generators(modulus, len(zero), gens,
+                                                    cap=len(group))
+        except CapExceeded:
+            span = None
+        if span != group:
+            raise NotASubgroup("set is not closed under addition")
     order = len(amb) // len(sub)
     if len(amb) % len(sub):
         raise NotASubgroup("subgroup order does not divide the ambient order")

@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from packetgroup.datum import CoverDatum, validate
+from packetgroup.datum import CoverDatum, conjugated_config, validate
+from packetgroup.linalg import Mat
+from packetgroup.randomgen import (invariant_q_upper, random_signed_permutation,
+                                   random_unimodular)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -46,6 +50,28 @@ def gcd_violating_datum(config: dict) -> CoverDatum:
     n = 1 and then replacing n gives the datum the hypothesis excludes.
     """
     return dataclasses.replace(validate(config | {"n": 1}), n=config["n"])
+
+
+def random_unramified_config(rng: random.Random) -> dict:
+    """An unramified datum of rank 1..4 whose packet group is often nontrivial.
+
+    Frobenius is a random signed permutation, q is 5 or 13 and n is 2 or 4;
+    the form and the base change follow `random_config`.  Of 300 draws from
+    random.Random(4), 54 have S != 1 (Z/2 x39, (Z/2)^2 x14, (Z/2)^3 x1),
+    where `random_config` gives S != 1 about once in 200 draws.
+    """
+    r = rng.choice((1, 2, 3, 4))
+    q = rng.choice((5, 13))
+    n = rng.choice((2, 4))
+    frob = random_signed_permutation(rng, r)
+    base = {"rank": r, "inertia_gens": [], "frobenius": frob.to_rows(),
+            "q": q, "n": n, "Q_upper": Mat.zeros(r, r).to_rows()}
+    if rng.random() < 0.4:
+        q_upper = Mat.identity(r).scale(rng.randint(1, 3))
+    else:
+        q_upper = invariant_q_upper(rng, validate(base).group_elements, r)
+    base["Q_upper"] = q_upper.to_rows()
+    return conjugated_config(base, random_unimodular(rng, r))
 
 
 def permutation_group_config(family: str, r: int) -> dict:

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -523,3 +525,66 @@ def test_input_errors_past_the_digit_limit_exit_2(capsys, tmp_path):
         assert code == 2
         assert json.loads(out)["error"] == {
             "kind": "CapExceeded", "message": f"N^k = {n_k} exceeds the cap 10"}
+
+
+README_MODULE = {"relations": [[3]], "sigma": [[1]], "phi": [[7]], "q": 7, "e": 2}
+README_HILBERT = ("hilbert", "--q", "7", "--n", "3", "--a", "1,0", "--b", "0,1")
+README_COMMUTATOR = ("commutator", "--q", "3", "--n", "2", "--form", "[[0,1],[0,0]]",
+                     "--s", "[[1,0],[0,0]]", "--t", "[[0,0],[1,0]]")
+
+# sha256 of stdout and the exit code, recorded before the handlers moved to
+# one shared report envelope; a report may change only on purpose
+GOLDEN_REPORTS = [
+    (("validate", "SWAP", "--format", "json"), 0,
+     "3ea4eacd3cb76c808c2e002378f4c76c5942b8c95410549de3b5b7b6c90431f1"),
+    (("sharp", "SWAP", "--format", "json"), 0,
+     "c880673a210b8e66339d67735cf287e298379a2024c3ec811b351105620e1147"),
+    (("packet-group", "SWAP", "--format", "json"), 0,
+     "dd4cf07a9476b6f24d03d9f94c709864177e0d6017314068e78acc1853dd947a"),
+    (("oracle-check", "SWAP", "--level", "2", "--format", "json"), 0,
+     "16fd307fead33970008aac9fba35ca4f012891b879dfb03263db7ddade168ea6"),
+    (("validate", "SWAP", "--format", "text"), 0,
+     "58a6a1f5ab8e3062b7b1458ab61606248ec2842faff6582ea23411d11226267e"),
+    (("sharp", "SWAP", "--format", "text"), 0,
+     "8953dfae773d4a1fc6faefab76f8f9f84e015bfca5a1470732b5addda187295a"),
+    (("packet-group", "SWAP", "--format", "text"), 0,
+     "ebc78331b0a4442b4da1826246266e4d6a4040b6fd0348bb0201d95a547f9a2c"),
+    (("oracle-check", "SWAP", "--level", "2", "--format", "text"), 0,
+     "beb6baecfe69cc93658cc7362eb6e86a33e91289751e3a5d9b64b170473567a4"),
+    (("packet-group", "SWAP", "--level", "1", "--max-level", "2"), 3,
+     "9e78dcb863cad006262ab538c075c8f5448c41398839b1caadeb5a77158c0f73"),
+    (("validate", "SWAP", "--cap", "0"), 2,
+     "30784b70ddf5508f9af6ec9d3bbefb55009ac6366c94dc9e910edaa52d42274e"),
+    (("cohomology", "MODULE"), 0,
+     "9229ac5fb985ab753d95bd6980f706f3c686b4f6e228f717880aa9d498498314"),
+    (README_HILBERT, 0,
+     "f07057d1791841350184eb80ea9a8b3543310c4fc4e6927850658955e74fd1de"),
+    (README_COMMUTATOR, 0,
+     "ac200abd1a509557c538a8d72314760630d24885041a29eaa7b2bb9295439a6b"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, sha256", GOLDEN_REPORTS,
+                         ids=[" ".join(argv) for argv, _, _ in GOLDEN_REPORTS])
+def test_golden_report_bytes(capsys, tmp_path, argv, exit_code, sha256):
+    module = tmp_path / "module.json"
+    module.write_text(json.dumps(README_MODULE))
+    paths = {"SWAP": str(CONFIG_DIR / "swap_q3_n2.json"), "MODULE": str(module)}
+    code, out = run_cli(capsys, *(paths.get(a, a) for a in argv))
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, sha256)
+
+
+def test_main_builds_no_parser(capsys, monkeypatch):
+    # the parser is built once, at import; main only parses with it
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built an ArgumentParser")
+
+    monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+    code, out = run_cli(capsys, *README_HILBERT)
+    assert code == 0 and json.loads(out)["results"]["value"] == 2
+    with pytest.raises(SystemExit) as usage:
+        main(["validate"])
+    assert usage.value.code == 2
+    capsys.readouterr()
+    code, out = run_cli(capsys, *README_HILBERT)
+    assert code == 0 and json.loads(out)["results"]["value"] == 2

@@ -9,10 +9,13 @@ from packetgroup.cohomology import (FrobModule, ShortExactSequence, connecting,
                                     image_of_connecting, residue_sharp_sequence)
 from packetgroup.datum import conjugated_config, validate
 from packetgroup.linalg import Mat, Sublattice, quotient_invariants
-from packetgroup.oracle import brute_quotient, subgroup_from_generators
+from packetgroup.oracle import (brute_invariant_points, brute_iota_image,
+                                brute_quotient, subgroup_from_generators)
 from packetgroup.randomgen import random_config, random_unimodular, random_valid_datum
+from packetgroup.residue import iota_image, packet_group_level
+from packetgroup.sharp import y_gamma_sharp, y_sharp
 
-from conftest import load_config, permutation_group_config
+from conftest import load_config, permutation_group_config, random_unramified_config
 
 
 def test_residue_sequence_exact_at_every_small_level():
@@ -154,3 +157,36 @@ def test_group_closure_against_matrix_closure(bundled_configs):
         assert d.inertia_elements == tuple(sorted(inertia, key=lambda m: m.entries))
         assert d.group_order == len(group) and d.e == len(inertia)
         assert d.gamma_exponent == lcm(*map(_matrix_order, group))
+
+
+# largest (Z/N)^r on which the random level cross-check enumerates
+RANDOM_LEVEL_SIZE = 10 ** 6
+
+
+def test_level_groups_against_the_oracle_on_random_data():
+    # random_config almost never gives S != 1, so most data come from the
+    # unramified generator, where about one draw in six does
+    rng = random.Random(4)
+    configs = [random_unramified_config(rng) for _ in range(60)]
+    configs += [random_config(rng) for _ in range(20)]
+    seen = set()
+    for cfg in configs:
+        d = validate(cfg)
+        lattices = {"full": Sublattice.full(d.rank), "sharp": y_sharp(d),
+                    "gamma_sharp": y_gamma_sharp(d)}
+        for m in (1, 2):
+            n_mod = d.q ** m - 1
+            if n_mod ** d.rank > RANDOM_LEVEL_SIZE:
+                continue
+            images = {}
+            for name, sub in lattices.items():
+                points = brute_invariant_points(d, sub, m)
+                images[name] = brute_iota_image(points, sub, n_mod)
+                main = subgroup_from_generators(
+                    n_mod, d.rank, iota_image(d, sub, m).lattice.basis.columns())
+                assert main == images[name], (cfg, m, name)
+            level_group = packet_group_level(d, m)
+            assert level_group == brute_quotient(
+                n_mod, images["gamma_sharp"], images["sharp"]), (cfg, m)
+            seen.add(level_group.is_trivial)
+    assert seen == {True, False}

@@ -99,6 +99,20 @@ def test_brute_quotient_errors():
         brute_quotient(4, {(0,), (2,)}, {(0,), (1,)})
 
 
+def test_brute_quotient_subgroup_check_is_not_quadratic():
+    # the 2401-element subgroup of (Z/196)^2 spanned by (4, 0) and (0, 4):
+    # an oracle-check on split_r2_q5_n4 at q = 197 meets sets of this size
+    group = frozenset((a, b) for a in range(0, 196, 4) for b in range(0, 196, 4))
+    start = time.perf_counter()
+    assert brute_quotient(196, group, group).is_trivial
+    assert time.perf_counter() - start < 1.0
+    holed = group - {(4, 8)}
+    with pytest.raises(NotASubgroup, match="not closed under addition"):
+        brute_quotient(196, holed, {(0, 0)})
+    with pytest.raises(NotASubgroup, match="not closed under addition"):
+        brute_quotient(196, group, holed)
+
+
 def test_abelian_chains():
     assert set(_abelian_chains(4)) == {(4,), (2, 2)}
     assert set(_abelian_chains(12)) == {(12,), (2, 6)}
