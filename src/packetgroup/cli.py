@@ -21,7 +21,8 @@ from typing import Any, Iterator, Optional
 
 from . import oracle
 from .cohomology import ModuleError, TameModule, counting_checks, tame_h
-from .datum import DEFAULT_CLOSURE_CAP, DatumError, parse_matrix, validate
+from .datum import (DEFAULT_CLOSURE_CAP, ConfigError, DatumError, parse_matrix,
+                    validate)
 from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice,
                      quotient_invariants)
 from .residue import (ContainmentViolation, LevelError, NTorsionViolation,
@@ -249,6 +250,8 @@ def _cmd_oracle_check(args) -> tuple[Any, dict]:
     config = _load_config(args.config)
     d = validate(config, closure_cap=args.cap)
     cap = args.cap if args.oracle_cap is None else args.oracle_cap
+    if cap < 1:
+        raise ConfigError(f"oracle_cap must be >= 1, got {cap}")
     m = args.level if args.level is not None else 1
     check_level(d.q, m)
     checks: list[dict] = []
@@ -379,7 +382,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             oracle.CapExceeded) as ex:
         report, code = error_report(type(ex).__name__, str(ex)), EXIT_CONFIG
     except (ContainmentViolation, NTorsionViolation, AssertionError, ValueError,
-            oracle.NotASubgroup, oracle.AmbiguousOrderProfile) as ex:
+            oracle.NotASubgroup) as ex:
         report, code = error_report(type(ex).__name__, str(ex)), EXIT_INTERNAL
     except OSError as ex:
         report, code = error_report("IOError", str(ex)), EXIT_CONFIG

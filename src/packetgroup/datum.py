@@ -387,7 +387,7 @@ def conjugated_config(config: Mapping[str, object], p: Mat) -> dict:
     and rank x rank.
     """
     rank = config["rank"]
-    if p.is_square and p.rows != rank:
+    if (p.rows, p.cols) != (rank, rank):
         raise ConfigError(f"base change matrix is {p.rows} x {p.cols}, "
                           f"expected {rank} x {rank} for the datum's rank")
     try:

@@ -3,18 +3,18 @@
 Everything here enumerates group elements one by one and shares no
 normal-form code with the lattice algebra: coordinate changes are done by
 a private fraction-based Gaussian solver, subgroups by closure under
-addition, and quotient structures by coset partitioning and order
-profiles.  Fixed points and radicals test every x in (Z/n)^k against one
-stack of linear conditions mod n, all n values of the last coordinate at
-once per prefix.  Caps are firm and checked before any element is formed.
+addition one coset at a time, and quotient structures by counting the
+elements each prime power sends into the subgroup.  Fixed points and
+radicals test every x in (Z/n)^k against one stack of linear conditions
+mod n, all n values of the last coordinate at once per prefix.  Caps are
+firm and checked before any element is formed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
-from operator import mul
+from operator import add, mod, mul
 from typing import Iterable, Sequence
 
 from .datum import CoverDatum, _int_text
@@ -32,10 +32,6 @@ class CapExceeded(OracleError):
 
 
 class NotASubgroup(OracleError):
-    pass
-
-
-class AmbiguousOrderProfile(OracleError):
     pass
 
 
@@ -125,20 +121,20 @@ def brute_iota_image(points: Iterable[tuple[int, ...]], sub: Sublattice,
                      n_mod: int) -> frozenset[tuple[int, ...]]:
     """Elementwise image in the ambient (Z/N)^r of points in sub's coordinates."""
     rows = sub.basis.to_rows()
-    return frozenset(
-        tuple(sum(row[j] * vec[j] for j in range(len(vec))) % n_mod for row in rows)
-        for vec in points)
+    return frozenset(tuple(sum(map(mul, row, vec)) % n_mod for row in rows)
+                     for vec in points)
 
 
 def brute_quotient(modulus: int, amb_elems: Iterable[tuple[int, ...]],
                    sub_elems: Iterable[tuple[int, ...]],
                    cap: int = DEFAULT_CAP) -> FinAbGroup:
-    """Invariant factors of amb/sub recovered from the order profile.
+    """Invariant factors of Q = amb/sub read off its p-power torsion counts.
 
     Elements are vectors mod `modulus`.  Both sets are checked to be
-    subgroups, the cosets are partitioned, and the multiset of coset
-    orders is matched against every abelian group of that size; an
-    ambiguous match raises rather than guessing.
+    subgroups: a set is one exactly when it is the closure of its own
+    elements.  Then |Q[t]| = #{x in amb : t x in sub} / |sub|, and for a
+    prime p the cyclic factors of Q whose order p^j divides number
+    log_p |Q[p^j]| / |Q[p^(j-1)]|; these counts determine Q.
     """
     amb = frozenset(tuple(x % modulus for x in v) for v in amb_elems)
     sub = frozenset(tuple(x % modulus for x in v) for v in sub_elems)
@@ -150,77 +146,44 @@ def brute_quotient(modulus: int, amb_elems: Iterable[tuple[int, ...]],
         sample = next(iter(group), None)
         if sample is None:
             raise NotASubgroup("a subgroup must contain the zero vector")
-        zero = tuple(0 for _ in sample)
-        if zero not in group:
+        if tuple(0 for _ in sample) not in group:
             raise NotASubgroup("missing zero vector")
-        # closed under addition exactly when the set is its own span; in
-        # sorted order each element outside the span so far joins the
-        # generators and at least doubles the span, so the span is rebuilt
-        # at most log2 |set| times, and one past the set's size hits the cap
-        gens, span = [], frozenset({zero})
+        # the closure contains the set, so it is the set or passes its size
         try:
-            for x in sorted(group):
-                if x not in span:
-                    gens.append(x)
-                    span = subgroup_from_generators(modulus, len(zero), gens,
-                                                    cap=len(group))
+            closed = subgroup_from_generators(modulus, len(sample), group,
+                                              cap=len(group)) == group
         except CapExceeded:
-            span = None
-        if span != group:
+            closed = False
+        if not closed:
             raise NotASubgroup("set is not closed under addition")
-    order = len(amb) // len(sub)
-    if len(amb) % len(sub):
-        raise NotASubgroup("subgroup order does not divide the ambient order")
-    if order == 1:
-        return FinAbGroup.trivial()
 
-    # order of the coset of x: least t >= 1 with t*x in sub; every coset is
-    # counted len(sub) times, which the profile below divides out again
-    coset_orders = []
-    for x in amb:
-        t = 1
-        acc = x
-        while acc not in sub:
-            acc = tuple((a + b) % modulus for a, b in zip(acc, x))
-            t += 1
-        coset_orders.append(t)
+    cols = list(zip(*amb))
 
-    def killed_counts(chain: tuple[int, ...], divisors: list[int]) -> dict[int, int]:
-        out = {}
-        for t in divisors:
-            count = 1
-            for dd in chain:
-                count *= gcd(t, dd)
-            out[t] = count
-        return out
+    def torsion_order(t: int) -> int:
+        multiples = zip(*[[t * x % modulus for x in col] for col in cols])
+        return sum(map(sub.__contains__, multiples)) // len(sub)
 
-    divisors = [t for t in range(1, order + 1) if order % t == 0]
-    observed = {t: sum(1 for o in coset_orders if t % o == 0) // len(sub)
-                for t in divisors}
-
-    matches = [chain for chain in _abelian_chains(order)
-               if killed_counts(chain, divisors) == observed]
-    if not matches:
-        raise AmbiguousOrderProfile("no abelian group matches the order profile")
-    if len(matches) > 1:
-        raise AmbiguousOrderProfile(
-            f"order profile matched by several groups: {matches}")
-    return FinAbGroup(matches[0])
-
-
-def _abelian_chains(order: int) -> list[tuple[int, ...]]:
-    """All divisibility chains d1 | d2 | ... with product `order`, each >= 2."""
-
-    def rec(q: int, cap: int) -> list[tuple[int, ...]]:
-        if q == 1:
-            return [()]
-        out = []
-        for d in range(2, cap + 1):
-            if q % d == 0 and cap % d == 0:
-                out.extend(ch + (d,) for ch in rec(q // d, d))
-        return out
-
-    return rec(order, order)
+    # factors[i] is the i-th largest invariant factor, built prime by prime
+    order = rest = len(amb) // len(sub)
+    factors = [1] * order.bit_length()
+    p = 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        sylow = 1
+        while rest % p == 0:
+            rest //= p
+            sylow *= p
+        # Q[p^j] is the Sylow p-subgroup by j = v_p(|Q|)
+        below, pj = 1, p
+        while below < sylow:
+            count, i = torsion_order(pj), 0
+            while below < count:
+                factors[i] *= p
+                below, i = below * p, i + 1
+            pj *= p
+        p += 1
+    return FinAbGroup(tuple(sorted(d for d in factors if d > 1)))
 
 
 def brute_radical(gram_rows: Sequence[Sequence[int]], n: int,
@@ -236,20 +199,25 @@ def brute_radical(gram_rows: Sequence[Sequence[int]], n: int,
 def subgroup_from_generators(modulus: int, rank: int,
                              gens: Iterable[Sequence[int]],
                              cap: int = DEFAULT_CAP) -> frozenset[tuple[int, ...]]:
-    """Closure of the generators in (Z/modulus)^rank under addition."""
-    zero = tuple(0 for _ in range(rank))
-    elems = {zero}
-    gens = [tuple(x % modulus for x in g) for g in gens]
-    frontier = [zero]
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = tuple((a + b) % modulus for a, b in zip(x, g))
-                if y not in elems:
-                    elems.add(y)
-                    fresh.append(y)
-                    if len(elems) > cap:
-                        raise CapExceeded(f"subgroup closure exceeded the cap {cap}")
-        frontier = fresh
-    return frozenset(elems)
+    """Closure of the generators in (Z/modulus)^rank under addition.
+
+    A generator g outside the span H so far adds the cosets H + g, H + 2g,
+    ... until t g lands in H; t g cannot land in an added coset first,
+    since t is least.  H is kept as columns while g is added, so each
+    coset is one shifted list per coordinate.  The cap is checked before
+    each coset is formed.
+    """
+    mods = (modulus,) * rank
+    span = {(0,) * rank}
+    for g in gens:
+        g = tuple(map(mod, g, mods))
+        if g in span:
+            continue
+        cols, size, step = list(zip(*span)), len(span), g
+        while step not in span:
+            if len(span) + size > cap:
+                raise CapExceeded(f"subgroup closure exceeded the cap {cap}")
+            span.update(zip(*[[(x + s) % modulus for x in col]
+                              for col, s in zip(cols, step)]))
+            step = tuple(map(mod, map(add, step, g), mods))
+    return frozenset(span)

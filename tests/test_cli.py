@@ -277,11 +277,9 @@ def test_oracle_mismatch_exit_code(capsys, monkeypatch):
 @pytest.mark.parametrize("error, exit_code", [
     (AssertionError("smith decomposition failed to verify"), 4),
     (oracle.NotASubgroup("generators do not close"), 4),
-    (oracle.AmbiguousOrderProfile("order profiles coincide"), 4),
     (oracle.CapExceeded("enumeration cap exceeded"), 2),
     (ValueError("not a documented input error"), 4),
-], ids=["AssertionError", "NotASubgroup", "AmbiguousOrderProfile", "CapExceeded",
-        "ValueError"])
+], ids=["AssertionError", "NotASubgroup", "CapExceeded", "ValueError"])
 def test_internal_error_exit_codes(capsys, monkeypatch, error, exit_code):
     # self-check and oracle failures are reported, never a bare traceback
     def failing(*args, **kwargs):
@@ -355,6 +353,20 @@ def test_closure_cap_below_1_exits_2(capsys, argv):
     assert code == 2
     assert json.loads(out)["error"] == {
         "kind": "ConfigError", "message": f"closure_cap must be >= 1, got {rest[-1]}"}
+
+
+@pytest.mark.parametrize("oracle_cap", ["0", "-1"])
+def test_oracle_cap_below_1_exits_2(capsys, monkeypatch, oracle_cap):
+    # refused up front, not reported as a CapExceeded by the first enumeration
+    def enumerated(*args, **kwargs):
+        raise AssertionError("the oracle enumerated under a cap below 1")
+
+    monkeypatch.setattr(oracle, "brute_invariant_points", enumerated)
+    code, out = run_cli(capsys, "oracle-check", str(CONFIG_DIR / "swap_q3_n2.json"),
+                        "--oracle-cap", oracle_cap)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "ConfigError", "message": f"oracle_cap must be >= 1, got {oracle_cap}"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -286,16 +286,19 @@ def test_matrix_inverse_refuses_non_unimodular(rows):
 
 def test_conjugated_config_refuses_non_unimodular():
     cfg = load_config("swap_q3_n2")
-    for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]], [[1, 0]]):
+    for rows in ([[2, 0], [0, 1]], [[1, 2], [2, 4]]):
         with pytest.raises(ConfigError, match="^base change matrix must be unimodular$"):
             conjugated_config(cfg, Mat.from_rows(rows))
 
 
 def test_conjugated_config_refuses_wrong_size():
-    # a unimodular p of another size used to fail inside a matrix product
+    # a unimodular p of another size used to fail inside a matrix product;
+    # a p that is not rank x rank gets this message, square or not
     cfg = load_config("swap_q3_n2")
-    for size in (1, 3):
-        with pytest.raises(ConfigError, match=f"^base change matrix is {size} x {size}, "
+    wrong = [Mat.identity(1), Mat.identity(3), Mat.from_rows([[1, 0]]),
+             Mat.from_rows([[1, 0, 0], [0, 1, 0]]), Mat.from_rows([[1, 0], [0, 1], [0, 0]])]
+    for p in wrong:
+        with pytest.raises(ConfigError, match=f"^base change matrix is {p.rows} x {p.cols}, "
                                               "expected 2 x 2 for the datum's rank$"):
-            conjugated_config(cfg, Mat.identity(size))
+            conjugated_config(cfg, p)
 

@@ -1,13 +1,13 @@
 import random
 import time
 from itertools import product
+from math import gcd, lcm, prod
 
 import pytest
 
 from packetgroup.datum import conjugated_config, validate
 from packetgroup.linalg import Sublattice
-from packetgroup.oracle import (CapExceeded, NotASubgroup, _abelian_chains,
-                                _restriction_matrix, brute_invariant_points,
+from packetgroup.oracle import (CapExceeded, NotASubgroup, _restriction_matrix, brute_invariant_points,
                                 brute_iota_image, brute_quotient, brute_radical,
                                 subgroup_from_generators)
 from packetgroup.randomgen import random_unimodular, random_valid_datum
@@ -111,13 +111,102 @@ def test_brute_quotient_subgroup_check_is_not_quadratic():
         brute_quotient(196, holed, {(0, 0)})
     with pytest.raises(NotASubgroup, match="not closed under addition"):
         brute_quotient(196, group, holed)
+    # the same at q = 397: 9801 elements, where a copy of the span per
+    # generator makes the closure check quadratic
+    group = frozenset((a, b) for a in range(0, 396, 4) for b in range(0, 396, 4))
+    start = time.perf_counter()
+    assert brute_quotient(396, group, group).is_trivial
+    assert time.perf_counter() - start < 1.0
+    # (Z/396 x 4Z/396)/0 = Z/99 + Z/396: 39204 cosets, of orders up to 396,
+    # and 20 abelian groups of that order
+    amb = frozenset((a, b) for a in range(396) for b in range(0, 396, 4))
+    start = time.perf_counter()
+    assert brute_quotient(396, amb, {(0, 0)}).invariant_factors == (99, 396)
+    assert time.perf_counter() - start < 1.0
 
 
-def test_abelian_chains():
-    assert set(_abelian_chains(4)) == {(4,), (2, 2)}
-    assert set(_abelian_chains(12)) == {(12,), (2, 6)}
-    assert set(_abelian_chains(8)) == {(8,), (2, 4), (2, 2, 2)}
-    assert _abelian_chains(1) == [()]
+def _invariant_chain(orders):
+    """Invariant factors of the sum of Z/c over `orders`, prime by prime."""
+    primes = {p for c in orders for p in range(2, c + 1)
+              if c % p == 0 and all(p % f for f in range(2, p))}
+    chain = [1] * len(orders)
+    for p in primes:
+        parts = []
+        for c in orders:
+            part = 1
+            while c % (part * p) == 0:
+                part *= p
+            parts.append(part)
+        # the largest p-parts go to the largest factors
+        for i, part in enumerate(sorted(parts)):
+            chain[i] *= part
+    return tuple(sorted(c for c in chain if c > 1))
+
+
+def _direct_sum(orders, modulus, multipliers):
+    """The sum of multipliers[i] (Z/orders[i]) inside (Z/modulus)^s."""
+    steps = [modulus // a * b % modulus for a, b in zip(orders, multipliers)]
+    return frozenset(tuple(x * step % modulus for x, step in zip(xs, steps))
+                     for xs in product(*(range(a) for a in orders)))
+
+
+def test_brute_quotient_on_direct_sums():
+    rng = random.Random(2718)
+    choices = (2, 3, 4, 6, 8, 9, 12, 18, 24, 36)
+    cases = [((12, 18, 4), (1, 1, 1)), ((12, 18, 4), (12, 18, 4)),
+             ((12, 18, 4), (2, 3, 2)), ((36, 12, 6), (4, 6, 1))]
+    while len(cases) < 60:
+        orders = tuple(rng.choice(choices) for _ in range(rng.randint(1, 3)))
+        if prod(orders) <= 5000:
+            cases.append((orders, tuple(rng.randrange(1, 2 * a) for a in orders)))
+    mixed = 0
+    for orders, mults in cases:
+        modulus = lcm(*orders)
+        amb = _direct_sum(orders, modulus, [1] * len(orders))
+        zero = {(0,) * len(orders)}
+        assert brute_quotient(modulus, amb, zero).invariant_factors == \
+            _invariant_chain(orders), orders
+        sub = _direct_sum(orders, modulus, mults)
+        assert brute_quotient(modulus, amb, sub).invariant_factors == \
+            _invariant_chain([gcd(a, b) for a, b in zip(orders, mults)]), (orders, mults)
+        mixed += len(_invariant_chain(orders)) > 1 and modulus % 6 == 0
+    assert _invariant_chain((12, 18, 4)) == (2, 12, 36)
+    assert mixed > 10
+
+
+def _bfs_closure(modulus, rank, gens):
+    zero = (0,) * rank
+    seen, queue = {zero}, [zero]
+    for x in queue:
+        for g in gens:
+            y = tuple((a + b) % modulus for a, b in zip(x, g))
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return frozenset(seen)
+
+
+def test_subgroup_closure_against_breadth_first_search():
+    rng = random.Random(31)
+    sizes = set()
+    for _ in range(200):
+        modulus, rank = rng.randint(1, 12), rng.randint(0, 3)
+        gens = [tuple(rng.randrange(-modulus, 2 * modulus) for _ in range(rank))
+                for _ in range(rng.randint(0, 3))]
+        gens.insert(rng.randint(0, len(gens)), (0,) * rank)
+        gens.append(rng.choice(gens))
+        rng.shuffle(gens)
+        want = _bfs_closure(modulus, rank, gens)
+        assert subgroup_from_generators(modulus, rank, gens, cap=len(want)) == want, \
+            (modulus, rank, gens)
+        # the trivial span forms no element, so no cap refuses it
+        if len(want) > 1:
+            with pytest.raises(CapExceeded, match="^subgroup closure exceeded the cap "
+                                                  f"{len(want) - 1}$"):
+                subgroup_from_generators(modulus, rank, gens, cap=len(want) - 1)
+        sizes.add(len(want))
+    assert subgroup_from_generators(5, 0, [(), ()], cap=1) == frozenset({()})
+    assert len(sizes) > 20
 
 
 def test_brute_radical_examples():
