@@ -4,6 +4,11 @@
 Prints the stabilized packet group of each bundled config and the
 per-level values of the two small data, all recomputed by elementwise
 enumeration, so the constants in tests/conftest.py can be audited.
+Exits 1, naming the config and the level, when an enumerated group
+differs from the main path's: from the level trace of `packet_group`, or
+from `packet_group_level` for the per-level tables.
+
+    python3 scripts/regen_expected.py
 """
 
 import json
@@ -14,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from packetgroup import oracle
 from packetgroup.datum import validate
-from packetgroup.residue import packet_group
+from packetgroup.residue import packet_group, packet_group_level
 from packetgroup.sharp import y_gamma_sharp, y_sharp
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -32,16 +37,25 @@ def brute_level(d, m):
     return oracle.brute_quotient(d.q ** m - 1, amb, sub, cap=CAP)
 
 
-def main() -> None:
+def main() -> int:
+    mismatches = []
+
+    def compare(name, m, enumerated, main_path, source):
+        if enumerated != main_path.invariant_factors:
+            mismatches.append(f"{name} level {m}: enumeration {enumerated}, "
+                              f"{source} {main_path.invariant_factors}")
+
     print("BUNDLED_EXPECTED_S = {")
     for path in sorted(CONFIG_DIR.glob("*.json")):
         d = validate(json.loads(path.read_text()))
         group, trace = packet_group(d)
         # confirm the stabilized value by enumeration where feasible
         confirmations = []
-        for m, _ in trace:
+        for m, traced in trace:
             if (d.q ** m - 1) ** d.rank <= CAP:
-                confirmations.append((m, brute_level(d, m).invariant_factors))
+                enumerated = brute_level(d, m).invariant_factors
+                confirmations.append((m, enumerated))
+                compare(path.stem, m, enumerated, traced, "trace")
         print(f"    {path.stem!r}: {group.invariant_factors!r},"
               f"  # enumeration: {confirmations}")
     print("}")
@@ -50,7 +64,13 @@ def main() -> None:
         d = validate(json.loads((CONFIG_DIR / f"{name}.json").read_text()))
         table = {m: brute_level(d, m).invariant_factors for m in (1, 2, 3, 4)}
         print(f"{name} per-level: {table}")
+        for m, enumerated in table.items():
+            compare(name, m, enumerated, packet_group_level(d, m), "packet_group_level")
+
+    for line in mismatches:
+        print(f"mismatch: {line}", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

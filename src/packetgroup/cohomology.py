@@ -389,6 +389,8 @@ def dual_module(m: TameModule, n: int) -> TameModule:
     plain contragredient and Frobenius by q times the contragredient.
     Requires the exponent of M to divide n.
     """
+    if n < 1:
+        raise ModuleError("n must be >= 1")
     if n % m.exponent:
         raise ModuleError("exponent of the module must divide n")
     admissible = preimage_mod(m.relations.basis.transpose(), n)

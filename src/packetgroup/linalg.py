@@ -555,6 +555,8 @@ class Sublattice:
         """Canonical coset representative of `vec` modulo a full-rank lattice."""
         if self.rank != self.ambient_rank:
             raise LatticeError("coset reduction needs a full-rank lattice")
+        if len(vec) != self.ambient_rank:
+            raise AmbientMismatch("vector length differs from ambient rank")
         x = list(vec)
         for j, col in enumerate(self.basis._columns):
             q = x[j] // col[j]

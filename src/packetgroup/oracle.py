@@ -2,7 +2,7 @@
 
 Everything here enumerates group elements one by one and shares no
 normal-form code with the lattice algebra: coordinate changes are done by
-a private fraction-based Gaussian solver, subgroups by closure under
+one Gauss-Jordan elimination per lattice, subgroups by closure under
 addition one coset at a time, and quotient structures by counting the
 elements each prime power sends into the subgroup.  Fixed points and
 radicals test every x in (Z/n)^k against one stack of linear conditions
@@ -35,51 +35,36 @@ class NotASubgroup(OracleError):
     pass
 
 
-def _solve_rational(matrix: Sequence[Sequence[int]],
-                    rhs: Sequence[int]) -> list[Fraction] | None:
-    """One rational solution of matrix @ x = rhs by Gaussian elimination."""
-    nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else len(rhs) * 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])]
-           for i, row in enumerate(matrix)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nrows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nrows):
-        if aug[i][-1]:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][-1]
-    return x
+def _restrictions(d: CoverDatum, sub: Sublattice) -> list[list[list[int]]]:
+    """Matrices in sub's basis of each inertia generator and of q times Frobenius.
 
-
-def _restriction_matrix(action_rows: list[list[int]],
-                        basis_columns: list[list[int]]) -> list[list[int]]:
-    """Matrix of the action in the given basis, solved column by column."""
-    k = len(basis_columns)
-    r = len(action_rows)
-    cols = []
-    for col in basis_columns:
-        image = [sum(action_rows[i][j] * col[j] for j in range(r)) for i in range(r)]
-        system = [[basis_columns[j][i] for j in range(k)] for i in range(r)]
-        sol = _solve_rational(system, image)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise OracleError("basis is not stable under the action")
-        cols.append([int(x) for x in sol])
-    return [[cols[j][i] for j in range(k)] for i in range(k)]
+    One Gauss-Jordan elimination over Q of [B | g_1 B | ... | F B], B the
+    basis of sub, brings B to the identity over zero rows; the blocks beside
+    the identity are then the matrices, and the action preserves sub exactly
+    when they are integral and the blocks beside the zero rows vanish.
+    """
+    k = sub.rank
+    basis = sub.basis.to_rows()
+    bcols = list(zip(*basis))
+    acts = [g.to_rows() for g in d.inertia_gens] + [d.frobenius.to_rows()]
+    rows = [[Fraction(x) for x in brow]
+            + [Fraction(sum(map(mul, act[i], bcol))) for act in acts for bcol in bcols]
+            for i, brow in enumerate(basis)]
+    # B has full column rank, so column c finds its pivot at or below row c
+    for c in range(k):
+        piv = next(i for i in range(c, len(rows)) if rows[i][c])
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = 1 / rows[c][c]
+        rows[c] = [x * inv for x in rows[c]]
+        for i, row in enumerate(rows):
+            if i != c and (f := row[c]):
+                rows[i] = [x - f * y for x, y in zip(row, rows[c])]
+    if any(any(row) for row in rows[k:]) or \
+            any(x.denominator != 1 for row in rows[:k] for x in row):
+        raise OracleError("basis is not stable under the action")
+    scales = [1] * len(d.inertia_gens) + [d.q]
+    return [[[s * int(x) for x in row[k * a:k * (a + 1)]] for row in rows[:k]]
+            for a, s in enumerate(scales, 1)]
 
 
 def _kernel_scan(rows: list[list[int]], k: int, n: int) -> frozenset[tuple[int, ...]]:
@@ -108,13 +93,10 @@ def brute_invariant_points(d: CoverDatum, sub: Sublattice, m: int,
     k = sub.rank
     if (size := n_mod ** k) > cap:
         raise CapExceeded(f"N^k = {_int_text(size)} exceeds the cap {cap}")
-    basis_cols = [list(sub.basis.col(j)) for j in range(k)]
-    actions = [_restriction_matrix(g.to_rows(), basis_cols) for g in d.inertia_gens]
-    frob = _restriction_matrix(d.frobenius.to_rows(), basis_cols)
-    actions.append([[d.q * x for x in row] for row in frob])
     # x is fixed by A exactly when (A - 1) x = 0
     return _kernel_scan([[a - int(i == j) for j, a in enumerate(row)]
-                         for rows in actions for i, row in enumerate(rows)], k, n_mod)
+                         for rows in _restrictions(d, sub) for i, row in enumerate(rows)],
+                        k, n_mod)
 
 
 def brute_iota_image(points: Iterable[tuple[int, ...]], sub: Sublattice,

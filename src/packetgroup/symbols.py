@@ -153,21 +153,13 @@ def dlog_table(q: int) -> tuple[int, ...]:
     if k != 1:
         raise NotPrimePower(f"dlog table needs a prime q, got {q} = {p}^{k}")
     for g in range(1, q):
-        seen = [False] * q
-        x = 1
-        count = 0
-        for _ in range(q - 1):
-            if seen[x]:
+        # g is primitive exactly when its first q - 1 powers are distinct
+        table, x = [-1] * q, 1
+        for i in range(q - 1):
+            if table[x] >= 0:
                 break
-            seen[x] = True
-            count += 1
-            x = (x * g) % q
-        if count == q - 1:
-            table = [-1] * q
-            x = 1
-            for i in range(q - 1):
-                table[x] = i
-                x = (x * g) % q
+            table[x], x = i, x * g % q
+        else:
             return tuple(table)
     raise SymbolError(f"no primitive root found for q = {q}")
 

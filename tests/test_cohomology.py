@@ -11,7 +11,7 @@ from packetgroup.cohomology import (ExactnessError, FrobModule, ModuleError,
                                     tame_h, tate_twist, twisted_coinvariants,
                                     unramified_part)
 from packetgroup.datum import NotPrimePower, validate
-from packetgroup.linalg import Mat, Sublattice
+from packetgroup.linalg import AmbientMismatch, Mat, Sublattice
 from packetgroup.randomgen import random_tame_module
 
 from conftest import gcd_violating_datum, load_config
@@ -184,6 +184,23 @@ def test_unramified_and_twisted_parts():
     assert unr.group().invariant_factors == (5,)
     tw = twisted_coinvariants(m)
     assert tw.group().invariant_factors == (5,)
+
+
+@pytest.mark.parametrize("vec", [(5, 1, 2), ()], ids=["long", "short"])
+def test_h1_class_refuses_the_wrong_length(vec):
+    m = cyclic(3, 1, 2)
+    assert h1_class(m, (5,)) == (2,)
+    with pytest.raises(AmbientMismatch, match="^vector length differs from ambient rank$"):
+        h1_class(m, vec)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_dual_module_refuses_n_below_1(n):
+    m = TameModule(Sublattice.scaled(1, 3), Mat.identity(1), Mat.from_rows([[2]]), 2, 7)
+    assert dual_module(m, 3).order == 3
+    for check in (dual_module, counting_checks):
+        with pytest.raises(ModuleError, match="^n must be >= 1$"):
+            check(m, n)
 
 
 def test_tame_module_validation():

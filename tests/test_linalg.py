@@ -493,6 +493,14 @@ def test_coords_and_reduction():
     assert lat.reduce_vector((7, 10)) == (0, 1)
 
 
+@pytest.mark.parametrize("vec", [(7, 8, 99), (7,)], ids=["long", "short"])
+def test_reduce_vector_refuses_the_wrong_length(vec):
+    lat = Sublattice.from_columns(2, [[3, 0], [0, 5]])
+    assert lat.reduce_vector((7, 8)) == (1, 3)
+    with pytest.raises(AmbientMismatch, match="^vector length differs from ambient rank$"):
+        lat.reduce_vector(vec)
+
+
 @given(st.data())
 @settings(deadline=None, max_examples=50)
 def test_meet_join_containments(data):

@@ -6,8 +6,8 @@ from math import gcd, lcm, prod
 import pytest
 
 from packetgroup.datum import conjugated_config, validate
-from packetgroup.linalg import Sublattice
-from packetgroup.oracle import (CapExceeded, NotASubgroup, _restriction_matrix, brute_invariant_points,
+from packetgroup.linalg import Sublattice, restrict_endomorphism
+from packetgroup.oracle import (CapExceeded, NotASubgroup, OracleError, _restrictions, brute_invariant_points,
                                 brute_iota_image, brute_quotient, brute_radical,
                                 subgroup_from_generators)
 from packetgroup.randomgen import random_unimodular, random_valid_datum
@@ -25,10 +25,7 @@ RANDOM_REFERENCE_SIZE = 2 * 10 ** 3
 def _reference_invariant_points(d, sub, m):
     """The per-element definition: apply each action mod N, compare tuples."""
     n_mod = d.q ** m - 1
-    cols = [list(sub.basis.col(j)) for j in range(sub.rank)]
-    actions = [_restriction_matrix(g.to_rows(), cols) for g in d.inertia_gens]
-    frob = _restriction_matrix(d.frobenius.to_rows(), cols)
-    actions.append([[d.q * x for x in row] for row in frob])
+    actions = _restrictions(d, sub)
 
     def fixed(vec):
         return all(tuple(sum(a * v for a, v in zip(row, vec)) % n_mod
@@ -250,6 +247,38 @@ def test_brute_invariant_points_match_the_per_element_definition():
                     _reference_invariant_points(d, sub, m), (d, sub, m)
                 cases += 1
     assert cases > 600
+
+
+def test_restrictions_intertwine_the_basis():
+    """B A = s g B for each generator g (s = q for Frobenius, else 1), and A
+    agrees with the lattice kernel's restriction."""
+    rng = random.Random(2020)
+    data = [validate(load_config(name)) for name in sorted(BUNDLED_EXPECTED_S)]
+    data += [random_valid_datum(rng) for _ in range(50)]
+    cases = 0
+    for d in data:
+        gens = list(d.inertia_gens) + [d.frobenius]
+        scales = [1] * len(d.inertia_gens) + [d.q]
+        for sub in _lattices(d):
+            mats = _restrictions(d, sub)
+            assert len(mats) == len(gens)
+            basis = sub.basis.to_rows()
+            for g, s, a in zip(gens, scales, mats):
+                ba = [[sum(b * a[l][j] for l, b in enumerate(brow)) for j in range(sub.rank)]
+                      for brow in basis]
+                assert ba == (g @ sub.basis).scale(s).to_rows(), (d, sub)
+                assert a == restrict_endomorphism(g, sub).scale(s).to_rows(), (d, sub)
+                cases += 1
+    assert cases >= 3 * len(data)
+
+
+@pytest.mark.parametrize("columns", [[[1, 0]], [[2, 0], [0, 1]]],
+                         ids=["not-spanned", "not-integral"])
+def test_restrictions_refuse_an_unstable_basis(columns):
+    # the swap sends (1, 0) outside its span, and (0, 1) to half of (2, 0)
+    swap = validate(load_config("swap_q3_n2"))
+    with pytest.raises(OracleError, match="^basis is not stable under the action$"):
+        _restrictions(swap, Sublattice.from_columns(2, columns))
 
 
 def test_brute_invariant_points_rank_zero():

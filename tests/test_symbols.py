@@ -69,6 +69,16 @@ def test_dlog_table():
     assert dlog_table(2) == (-1, 0)
 
 
+def test_dlog_table_over_the_primes_below_300():
+    primes = [q for q in range(2, 300) if all(q % p for p in range(2, q))]
+    for q in primes:
+        # the least g whose powers reach every unit
+        g = next(g for g in range(1, q) if len({pow(g, i, q) for i in range(q - 1)}) == q - 1)
+        table = dlog_table(q)
+        assert len(table) == q and table[0] == -1
+        assert all(pow(g, table[x], q) == x for x in range(1, q)), q
+
+
 def test_commutator_examples():
     f = TameField(3, 2)
     b = Mat.from_rows([[0, 1], [0, 0]])
