@@ -17,11 +17,12 @@ are reduced, and exact because the reduction moves rows only by vectors
 of the lattice.  So a congruence mod n, `preimage_mod`, is the preimage
 block [m; I] spanned modulo n.  The Smith form serves only where the
 Hermite form does not give the answer: `quotient_invariants` reads its
-diagonal, and `residue`'s level loop, through `congruence_lattice`, its
-V and diagonal, once per datum.  `congruence_lattice` takes V already
-pushed through any matrix, so a level image is read off V pushed through
-the sub-lattice basis; and conditions mod n and mod n*N are stacked into
-one congruence mod n*N, the first scaled by N.
+diagonal, and `residue`'s level functions, through `congruence_lattice`,
+its V and diagonal, once per datum.  `congruence_lattice` takes V already
+pushed through any matrix and any modulus, so a level image is read off V
+pushed through the sub-lattice basis, modulo N = q**m - 1 or, in the
+packet-group loop, modulo the n-primary part of N; and conditions mod n
+and mod n*N are stacked into one congruence mod n*N, the first scaled by N.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ one Gauss-Jordan elimination per lattice, subgroups by closure under
 addition one coset at a time, and quotient structures by counting the
 elements each prime power sends into the subgroup.  Fixed points and
 radicals test every x in (Z/n)^k against one stack of linear conditions
-mod n, all n values of the last coordinate at once per prefix.  Caps are
-firm and checked before any element is formed.
+mod n, all n values of the last coordinate at once per prefix.  A level
+group is also enumerated modulo the n-primary part of N alone, found by
+repeated division, which keeps every level of a trace within the cap.
+Caps are firm and checked before any element is formed.
 """
 
 from __future__ import annotations
@@ -86,10 +88,8 @@ def _kernel_scan(rows: list[list[int]], k: int, n: int) -> frozenset[tuple[int, 
     return frozenset(out)
 
 
-def brute_invariant_points(d: CoverDatum, sub: Sublattice, m: int,
-                           cap: int = DEFAULT_CAP) -> frozenset[tuple[int, ...]]:
-    """All fixed points of the twisted action on (Z/N)^k, by enumeration."""
-    n_mod = d.q ** m - 1
+def _fixed_points(d: CoverDatum, sub: Sublattice, n_mod: int,
+                  cap: int) -> frozenset[tuple[int, ...]]:
     k = sub.rank
     if (size := n_mod ** k) > cap:
         raise CapExceeded(f"N^k = {_int_text(size)} exceeds the cap {cap}")
@@ -97,6 +97,26 @@ def brute_invariant_points(d: CoverDatum, sub: Sublattice, m: int,
     return _kernel_scan([[a - int(i == j) for j, a in enumerate(row)]
                          for rows in _restrictions(d, sub) for i, row in enumerate(rows)],
                         k, n_mod)
+
+
+def brute_invariant_points(d: CoverDatum, sub: Sublattice, m: int,
+                           cap: int = DEFAULT_CAP) -> frozenset[tuple[int, ...]]:
+    """All fixed points of the twisted action on (Z/N)^k, by enumeration."""
+    return _fixed_points(d, sub, d.q ** m - 1, cap)
+
+
+def brute_level_group(d: CoverDatum, gamma_sharp: Sublattice, sharp: Sublattice,
+                      modulus: int, cap: int = DEFAULT_CAP) -> FinAbGroup:
+    """The level group in (Z/modulus)^r, by enumeration: the quotient of the
+    images of gamma_sharp's and sharp's fixed points.
+
+    With modulus = q**m - 1 this is the level-m group; with a divisor D of
+    it prime to (q**m - 1) / D, such as `n_primary_part(q**m - 1, n)`, it
+    is that group's part at the primes of D.
+    """
+    big, small = (brute_iota_image(_fixed_points(d, sub, modulus, cap), sub, modulus)
+                  for sub in (gamma_sharp, sharp))
+    return brute_quotient(modulus, big, small, cap=cap)
 
 
 def brute_iota_image(points: Iterable[tuple[int, ...]], sub: Sublattice,
@@ -166,6 +186,21 @@ def brute_quotient(modulus: int, amb_elems: Iterable[tuple[int, ...]],
             pj *= p
         p += 1
     return FinAbGroup(tuple(sorted(d for d in factors if d > 1)))
+
+
+def n_primary_part(value: int, n: int) -> int:
+    """The largest divisor of value > 0 whose primes all divide n, by
+    dividing out each prime of n one factor at a time."""
+    part, p = 1, 2
+    while n > 1:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            while value % p == 0:
+                value //= p
+                part *= p
+        p += 1
+    return part
 
 
 def brute_radical(gram_rows: Sequence[Sequence[int]], n: int,

@@ -3,17 +3,19 @@
 At level m the coefficient group is the cyclic group of order
 N = q**m - 1.  Subgroups of (Z/N)^k are carried as integer lattices that
 contain N Z^k, so every group operation reduces to exact lattice algebra;
-no element enumeration happens on this path.
+no element enumeration happens on this path.  The packet group is
+n-torsion, so its loop works modulo the n-primary part of N alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Optional
 
 from .datum import CoverDatum
-from .linalg import (FinAbGroup, LatticeError, Mat, NotASublattice, SmithDecomposition,
-                     Sublattice, congruence_lattice, fixed_point_conditions,
+from .linalg import (FinAbGroup, LatticeError, Mat, NotASublattice, Sublattice,
+                     congruence_lattice, fixed_point_conditions,
                      quotient_invariants, restrict_endomorphism, smith)
 from .sharp import y_gamma_sharp, y_sharp
 
@@ -50,6 +52,18 @@ def level_modulus(q: int, m: int) -> int:
     """N = q**m - 1 at level m, once check_level passes."""
     check_level(q, m)
     return q ** m - 1
+
+
+def n_primary_modulus(q: int, n: int, m: int) -> int:
+    """The n-primary part of q**m - 1 for n | q - 1, without forming q**m - 1.
+
+    For a prime l | n, v_l(q**m - 1) <= v_l(q - 1) + v_l(q + 1) + v_l(m)
+    (lifting the exponent), below 2 * q.bit_length() + m.bit_length(); so
+    B = n**that is divisible by the n-primary part, and gcd(q**m - 1, B) is
+    read off q**m mod B.
+    """
+    bound = n ** (2 * q.bit_length() + m.bit_length())
+    return gcd(pow(q, m, bound) - 1, bound)
 
 
 class NotStabilized(RuntimeError):
@@ -98,41 +112,35 @@ class StabilizationPolicy:
             raise LevelError("max_level must be >= 1")
 
 
-def _twisted_conditions(d: CoverDatum, sub: Sublattice) -> SmithDecomposition:
-    """SNF of the conditions for a point of sub x mu_N to be fixed, in sub's basis.
+def _twisted_conditions(d: CoverDatum, sub: Sublattice,
+                        push: Mat) -> tuple[Mat, tuple[int, ...]]:
+    """(push @ V, diag) of the SNF U @ c @ V = diag(diag) of the conditions c
+    for a point of sub x mu_N to be fixed, in sub's basis.
 
     Inertia generators act through their restriction matrices alone;
     the Frobenius restriction is multiplied by q, encoding x -> x**q on
-    the roots of unity.  Nothing here depends on the level.
+    the roots of unity.  Nothing here depends on the level: the points at
+    any modulus, pushed through `push`, are `congruence_lattice(*result, N)`.
     """
     actions = [restrict_endomorphism(g, sub) for g in d.inertia_gens]
     actions.append(restrict_endomorphism(d.frobenius, sub).scale(d.q))
-    return smith(fixed_point_conditions(actions, sub.rank))
+    dec = smith(fixed_point_conditions(actions, sub.rank))
+    return push @ dec.V, dec.d
 
 
-def _points(d: CoverDatum, w: Mat, diag: tuple[int, ...], m: int) -> LevelGroup:
-    """a @ (level-m invariant points) + N Z^(w.rows) for w = a @ V, from the
-    level-free SNF U @ c @ V = diag(diag) of the twisted conditions c."""
+def _points(d: CoverDatum, sub: Sublattice, m: int, push: Mat) -> LevelGroup:
     n_mod = level_modulus(d.q, m)
-    return LevelGroup(m, n_mod, congruence_lattice(w, diag, n_mod))
+    return LevelGroup(m, n_mod, congruence_lattice(*_twisted_conditions(d, sub, push), n_mod))
 
 
 def invariant_points(d: CoverDatum, sub: Sublattice, m: int) -> LevelGroup:
     """Fixed points of the twisted action on sub x mu_N, in sub's own basis."""
-    dec = _twisted_conditions(d, sub)
-    return _points(d, dec.V, dec.d, m)
-
-
-def _pushed_conditions(d: CoverDatum, sub: Sublattice) -> tuple[Mat, tuple[int, ...]]:
-    """(sub.basis @ V, diag) of the twisted conditions' SNF: all a level
-    needs for the ambient image of sub's invariant points."""
-    dec = _twisted_conditions(d, sub)
-    return sub.basis @ dec.V, dec.d
+    return _points(d, sub, m, Mat.identity(sub.rank))
 
 
 def iota_image(d: CoverDatum, sub: Sublattice, m: int) -> LevelGroup:
     """Image of the invariant points in the ambient (Z/N)^r."""
-    return _points(d, *_pushed_conditions(d, sub), m)
+    return _points(d, sub, m, sub.basis)
 
 
 def packet_group_level(d: CoverDatum, m: int) -> FinAbGroup:
@@ -149,27 +157,33 @@ def packet_group(d: CoverDatum,
     consecutive levels return the same invariant factors; m0 defaults to
     the exponent of the generated matrix group.  Raises LevelError when m0
     is above max_level, and NotStabilized when max_level is exceeded,
-    never returning a silent answer.  Only N = q**m - 1 depends on the
-    level: the sharp lattices, the SNFs of their twisted fixed-point
-    conditions and each V pushed through its lattice's basis are computed
-    once per call, and a level costs one modular HNF per lattice and one
-    quotient SNF.
+    never returning a silent answer.  The group is n-torsion, so by CRT a
+    level is taken in (Z/M)^r, M the n-primary part of q**m - 1, and only
+    M depends on the level: the sharp lattices, the SNFs of their twisted
+    fixed-point conditions and each V pushed through its lattice's basis
+    are computed once per call, and each new M costs one modular HNF per
+    lattice and one quotient SNF (for odd n, m0, 2*m0, 4*m0 share one M).
     """
     m = policy.start_level if policy.start_level is not None else d.gamma_exponent
     if m > policy.max_level:
         raise LevelError(f"first level {m} is above max_level = {policy.max_level}")
-    pushed = [_pushed_conditions(d, sub) for sub in (y_gamma_sharp(d), y_sharp(d))]
+    pushed = [_twisted_conditions(d, sub, sub.basis) for sub in (y_gamma_sharp(d), y_sharp(d))]
+    groups: dict[int, FinAbGroup] = {}
     trace: list[tuple[int, FinAbGroup]] = []
     while m <= policy.max_level:
-        big, small = (_points(d, w, diag, m) for w, diag in pushed)
-        try:
-            group = quotient_invariants(big.lattice, small.lattice)
-        except NotASublattice:
-            raise ContainmentViolation(
-                f"sharp image not contained in gamma-sharp image at level {m}") from None
-        if any(d.n % f for f in group.invariant_factors):
-            raise NTorsionViolation(
-                f"invariant factors {group.invariant_factors} do not all divide n = {d.n}")
+        check_level(d.q, m)
+        modulus = n_primary_modulus(d.q, d.n, m)
+        if (group := groups.get(modulus)) is None:
+            big, small = (congruence_lattice(w, diag, modulus) for w, diag in pushed)
+            try:
+                group = quotient_invariants(big, small)
+            except NotASublattice:
+                raise ContainmentViolation(
+                    f"sharp image not contained in gamma-sharp image at level {m}") from None
+            if any(d.n % f for f in group.invariant_factors):
+                raise NTorsionViolation(
+                    f"invariant factors {group.invariant_factors} do not all divide n = {d.n}")
+            groups[modulus] = group
         trace.append((m, group))
         if len(trace) >= policy.stable_repeats:
             window = trace[-policy.stable_repeats:]

@@ -8,13 +8,13 @@ import pytest
 from packetgroup.datum import conjugated_config, validate
 from packetgroup.linalg import Sublattice, restrict_endomorphism
 from packetgroup.oracle import (CapExceeded, NotASubgroup, OracleError, _restrictions, brute_invariant_points,
-                                brute_iota_image, brute_quotient, brute_radical,
-                                subgroup_from_generators)
+                                brute_iota_image, brute_level_group, brute_quotient,
+                                brute_radical, n_primary_part, subgroup_from_generators)
 from packetgroup.randomgen import random_unimodular, random_valid_datum
-from packetgroup.residue import invariant_points
+from packetgroup.residue import invariant_points, packet_group
 from packetgroup.sharp import y_gamma_sharp, y_sharp
 
-from conftest import BUNDLED_EXPECTED_S, load_config
+from conftest import BUNDLED_EXPECTED_S, RAMIFIED_CYCLE3, load_config
 
 # largest N^k at which the per-element reference below is run, on the
 # bundled data and on random data
@@ -320,3 +320,32 @@ def test_brute_invariant_points_budget():
         gens = [lg.lattice.basis.col(j) for j in range(lg.lattice.rank)]
         assert subgroup_from_generators(728, 2, gens) == pts, sub
     assert elapsed < 1.5, elapsed
+
+
+def test_brute_level_group_confirms_every_trace_level(bundled_configs):
+    # each traced level, enumerated in (Z/M)^r for M the n-primary part of
+    # N = q**m - 1; where (Z/N)^r is small enough, the full N gives the same
+    # group and N / M, the primes outside n, a trivial one
+    data = {name: validate(cfg) for name, cfg in bundled_configs.items()}
+    data["RAMIFIED_CYCLE3"] = validate(RAMIFIED_CYCLE3)
+    levels = full = 0
+    for name, d in data.items():
+        lattices = (y_gamma_sharp(d), y_sharp(d))
+        _, trace = packet_group(d)
+        for m, traced in trace:
+            n_mod = d.q ** m - 1
+            modulus = n_primary_part(n_mod, d.n)
+            assert brute_level_group(d, *lattices, modulus) == traced, (name, m)
+            levels += 1
+            if n_mod ** d.rank <= 10 ** 5:
+                assert brute_level_group(d, *lattices, n_mod) == traced, (name, m)
+                assert brute_level_group(d, *lattices, n_mod // modulus).is_trivial
+                full += 1
+    assert (levels, full) == (21, 7)
+
+
+def test_n_primary_part_examples():
+    assert n_primary_part(3 ** 4 - 1, 2) == 16
+    assert n_primary_part(7 ** 6 - 1, 3) == 9
+    assert n_primary_part(2 ** 2 * 3 ** 3 * 5 * 7, 6) == 108
+    assert n_primary_part(80, 1) == 1

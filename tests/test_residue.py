@@ -3,12 +3,15 @@ import time
 
 import pytest
 
-from packetgroup.datum import conjugated_config, validate
+from packetgroup import residue
+from packetgroup.datum import RamificationGcdError, conjugated_config, validate
 from packetgroup.linalg import LatticeError, Mat, Sublattice, quotient_invariants
-from packetgroup.randomgen import invariant_q_upper, random_unimodular, random_valid_datum
+from packetgroup.oracle import n_primary_part
+from packetgroup.randomgen import (invariant_q_upper, random_config, random_unimodular,
+                                   random_valid_datum)
 from packetgroup.residue import (LevelError, LevelGroup, NotStabilized,
                                  StabilizationPolicy, invariant_points, iota_image,
-                                 packet_group, packet_group_level)
+                                 n_primary_modulus, packet_group, packet_group_level)
 from packetgroup.sharp import y_gamma_sharp, y_sharp
 
 from conftest import (BUNDLED_EXPECTED_S, RAMIFIED_CYCLE3, RAMIFIED_R1_LEVEL_S,
@@ -205,8 +208,9 @@ def test_base_change_invariance_spot():
 
 def test_rank_24_cycle_budget():
     # Frobenius the r-cycle e_i -> e_(i+1), no inertia, q = 5, n = 4: the
-    # levels reach N = 5^(4r) - 1 (223 bits at r = 24), and the images in
-    # (Z/N)^r are spanned modulo N, so no entry outgrows N.  The sharp
+    # levels reach m = 4r, and the images are spanned modulo the 2-primary
+    # part M of 5^m - 1 (2^(2 + v_2(m)), 8 bits at r = 24), so no entry
+    # outgrows M and 5^m - 1 is never formed.  The sharp
     # lattices are congruences mod n spanned modulo n; the rank-32 seed-2
     # form took about 100 s when they came from an exact Smith form.
     cases = [(24, 0, ())] + [(32, seed, (2,) if seed in (2, 3) else (4,)) for seed in range(8)]
@@ -296,3 +300,83 @@ def test_direct_sum_splits_the_packet_group(names):
                 for name, pd in part_data.items()}
         want = sorted(x for name in names for x in _elementary_divisors(each[name]))
         assert _elementary_divisors(packet_group_level(d, m).invariant_factors) == want, m
+
+
+def _prime_powers(bound):
+    """Every prime power q <= bound."""
+    primes = [p for p in range(2, bound + 1) if all(p % k for k in range(2, p))]
+    return sorted(p ** a for p in primes for a in range(1, bound.bit_length())
+                  if p ** a <= bound)
+
+
+def test_n_primary_modulus_matches_repeated_division():
+    cases = 0
+    for q in _prime_powers(125):
+        for n in (n for n in range(1, q) if (q - 1) % n == 0):
+            for m in range(1, 65):
+                assert n_primary_modulus(q, n, m) == n_primary_part(q ** m - 1, n), (q, n, m)
+                cases += 1
+    assert cases > 10 ** 4
+
+
+def _ramified_sums(rng, count):
+    """RAMIFIED_CYCLE3 (S = Z/2) plus random_config draws moved to its q = 5
+    and n = 4, under a random base change; draws with gcd(4, e) > 1 are
+    skipped, since validate refuses them."""
+    sums = []
+    while len(sums) < count:
+        part = random_config(rng, ranks=(1, 2)) | {"q": 5, "n": 4}
+        total = _direct_sum([RAMIFIED_CYCLE3, part])
+        try:
+            sums.append(validate(conjugated_config(
+                total, random_unimodular(rng, total["rank"]))))
+        except RamificationGcdError:
+            continue
+    return sums
+
+
+def test_n_primary_levels_match_the_full_modulus(bundled_configs):
+    # the loop takes a level modulo the n-primary part M of N = q**m - 1;
+    # the one-shot images are taken modulo N itself, so their quotient
+    # covers the primes of N that the loop never sees
+    rng = random.Random(5)
+    data = [validate(cfg) for cfg in bundled_configs.values()]
+    data.append(validate(RAMIFIED_CYCLE3))
+    data += [random_valid_datum(rng, ranks=(1, 2, 3, 4)) for _ in range(300)]
+    data += _ramified_sums(random.Random(55), 12)
+    nontrivial = 0
+    for d in data:
+        big, small = y_gamma_sharp(d), y_sharp(d)
+        for m in (1, 2, 3, 4, 6, 8, 12):
+            level_group = packet_group_level(d, m)
+            assert level_group == quotient_invariants(
+                iota_image(d, big, m).lattice, iota_image(d, small, m).lattice), (d, m)
+            nontrivial += not level_group.is_trivial
+    assert nontrivial > 100
+
+
+def test_packet_group_works_modulo_the_n_primary_part(monkeypatch, bundled_configs):
+    # the loop never forms q**m - 1, and evaluates each distinct modulus
+    # once: for odd n, M is the same at m0, 2*m0 and 4*m0
+    def refuse(q, m):
+        raise AssertionError("level_modulus called")
+
+    monkeypatch.setattr(residue, "level_modulus", refuse)
+    for cfg in bundled_configs.values():
+        packet_group(validate(cfg))
+    packet_group(validate(RAMIFIED_CYCLE3))
+
+    calls = []
+    congruence = residue.congruence_lattice
+
+    def counted(*args):
+        calls.append(args[-1])
+        return congruence(*args)
+
+    monkeypatch.setattr(residue, "congruence_lattice", counted)
+    for name, want in (("ramified_r1_q7_n3", [3, 3]),
+                       ("swap_q3_n2", [8, 8, 16, 16, 32, 32])):
+        calls.clear()
+        _, trace = packet_group(validate(bundled_configs[name]))
+        assert len(trace) == 3
+        assert calls == want, name
