@@ -2,11 +2,13 @@
 
 A FrobModule is a finite abelian group Z^k/R with a distinguished
 automorphism phi; its cohomology over the procyclic group generated by
-Frobenius is ker(phi - 1) and coker(phi - 1), computed entirely through
-the exact lattice kernel/cokernel primitives.  A TameModule adds an
-inertia automorphism sigma of order dividing e with the tame relation
-phi sigma phi^-1 = sigma^q, and its cohomology is assembled from the
-sigma-invariants (unramified part) and the once-twisted sigma-coinvariants.
+Frobenius is ker(phi - 1) and coker(phi - 1).  R contains E * Z^k, E the
+group exponent, so every preimage, span, solve and inverse against R is
+taken modulo E (the sequence of `residue_sharp_sequence` modulo N or n*N),
+and no entry outgrows it.  A TameModule adds an inertia automorphism
+sigma of order dividing e with the tame relation phi sigma phi^-1 =
+sigma^q, and its cohomology is assembled from the sigma-invariants
+(unramified part) and the once-twisted sigma-coinvariants.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class _FiniteModule:
             object.__setattr__(self, name, mat)
             if not _columns_in(mat @ r.basis, r):
                 raise ModuleError(f"{name} does not preserve the relation lattice")
-            if preimage_lattice(mat, r) != r:
+            if preimage_lattice(mat, r, modulus=self.exponent) != r:
                 raise ModuleError(f"{name} is not invertible on the module")
 
     def _check_scalars(self) -> None:
@@ -135,12 +137,13 @@ class TameCohomology:
 
 
 def _h1_relations(m: FrobModule) -> Sublattice:
-    return m.relations.join(m.phi - Mat.identity(m.ambient_rank))
+    return m.relations.join(m.phi - Mat.identity(m.ambient_rank), modulus=m.exponent)
 
 
 def h0_h1(m: FrobModule) -> tuple[FinAbGroup, FinAbGroup]:
     """(ker(phi-1), coker(phi-1)) as invariant factors; orders agree."""
-    kernel = preimage_lattice(m.phi - Mat.identity(m.ambient_rank), m.relations)
+    kernel = preimage_lattice(m.phi - Mat.identity(m.ambient_rank), m.relations,
+                              modulus=m.exponent)
     h0 = quotient_invariants(kernel, m.relations)
     h1 = quotient_invariants(Sublattice.full(m.ambient_rank), _h1_relations(m))
     if h0.order != h1.order:
@@ -183,11 +186,12 @@ def exactness_failures(ses: ShortExactSequence) -> tuple[str, ...]:
         problems.append("projection does not commute with phi")
     if problems:
         return tuple(problems)
-    if preimage_lattice(f, b.relations) != a.relations:
+    if preimage_lattice(f, b.relations, modulus=b.exponent) != a.relations:
         problems.append("injection has a kernel")
-    if b.relations.join(f) != preimage_lattice(g, c.relations):
+    if b.relations.join(f, modulus=b.exponent) != \
+            preimage_lattice(g, c.relations, modulus=c.exponent):
         problems.append("image of the injection differs from the kernel of the projection")
-    if c.relations.join(g) != Sublattice.full(c.ambient_rank):
+    if c.relations.join(g, modulus=c.exponent) != Sublattice.full(c.ambient_rank):
         problems.append("projection is not surjective")
     return tuple(problems)
 
@@ -212,20 +216,20 @@ def _connecting_values(ses: ShortExactSequence, classes: Mat) -> Mat:
         raise NotInH0("vector length differs from the presentation rank")
     if not _columns_in((c.phi - Mat.identity(c.ambient_rank)) @ classes, c.relations):
         raise NotInH0("class is not Frobenius-fixed")
-    lifts = solve_modulo(g, classes, c.relations)
+    lifts = solve_modulo(g, classes, c.relations, modulus=c.exponent)
     if lifts is None:
         raise ExactnessError("vector cannot be lifted through the projection")
     delta = b.phi - Mat.identity(b.ambient_rank)
 
     def pull_back(lifts: Mat) -> Mat:
-        values = solve_modulo(f, delta @ lifts, b.relations)
+        values = solve_modulo(f, delta @ lifts, b.relations, modulus=b.exponent)
         if values is None:
             raise ExactnessError("phi - 1 of a lift is not in the image of the injection")
         return values
 
     values = pull_back(lifts)
     if __debug__ and b.ambient_rank:
-        shift = preimage_lattice(g, c.relations).basis.col(0)
+        shift = preimage_lattice(g, c.relations, modulus=c.exponent).basis.col(0)
         others = lifts + Mat.from_columns([shift] * lifts.cols, rows=b.ambient_rank)
         assert _columns_in(pull_back(others) - values, _h1_relations(a)), \
             "connecting value depends on the lift"
@@ -245,15 +249,17 @@ def connecting(ses: ShortExactSequence, c: Sequence[int]) -> tuple[int, ...]:
 def image_of_connecting(ses: ShortExactSequence) -> FinAbGroup:
     """Subgroup of h1(left) generated by the connecting images of h0(right)."""
     cc = ses.right
-    fixed = preimage_lattice(cc.phi - Mat.identity(cc.ambient_rank), cc.relations)
+    fixed = preimage_lattice(cc.phi - Mat.identity(cc.ambient_rank), cc.relations,
+                             modulus=cc.exponent)
     denom = _h1_relations(ses.left)
-    return quotient_invariants(denom.join(_connecting_values(ses, fixed.basis)), denom)
+    values = _connecting_values(ses, fixed.basis)
+    return quotient_invariants(denom.join(values, modulus=ses.left.exponent), denom)
 
 
-def _submodule(lattice: Sublattice, relations: Sublattice, phi: Mat, q: int,
+def _submodule(lattice: Sublattice, relations: Sublattice, modulus: int, phi: Mat, q: int,
                mult: int) -> FrobModule:
-    """Submodule lattice/(lattice meet relations); phi restricted, then times mult."""
-    return FrobModule(preimage_lattice(lattice.basis, relations),
+    """lattice/(lattice meet relations >= modulus Z^k); phi restricted, times mult."""
+    return FrobModule(preimage_lattice(lattice.basis, relations, modulus=modulus),
                       restrict_endomorphism(phi, lattice).scale(mult), q)
 
 
@@ -283,7 +289,7 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
 
     # right term: inertia-fixed points of (Z/N)^r with twisted Frobenius
     fixed_c = preimage_mod(fixed_point_conditions(d.inertia_gens, r), n_mod)
-    mod_c = _submodule(fixed_c, Sublattice.scaled(r, n_mod), d.frobenius, d.q, d.q)
+    mod_c = _submodule(fixed_c, Sublattice.scaled(r, n_mod), n_mod, d.frobenius, d.q, d.q)
 
     # middle term: inside the n*N-torsion of the sharp lattice, the
     # preimage of the level-m part, restricted to inertia-fixed points
@@ -293,7 +299,7 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
     lat_b = preimage_mod(s.scale(n_mod).vstack(fixed_point_conditions(sharp_gens, r)),
                          big_mod)
     w = lat_b.basis
-    mod_b = _submodule(lat_b, Sublattice.scaled(r, big_mod), sharp_frob, d.q, d.q)
+    mod_b = _submodule(lat_b, Sublattice.scaled(r, big_mod), big_mod, sharp_frob, d.q, d.q)
 
     # projection: divide the isogeny by n, then express in the fixed basis
     pushed = s @ w
@@ -305,8 +311,8 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
     proj = Mat.from_columns(coords, rows=fixed_c.rank)
 
     # left term: kernel of the projection, with the restricted Frobenius
-    ker = preimage_lattice(proj, mod_c.relations)
-    mod_a = _submodule(ker, mod_b.relations, mod_b.phi, d.q, 1)
+    ker = preimage_lattice(proj, mod_c.relations, modulus=n_mod)
+    mod_a = _submodule(ker, mod_b.relations, big_mod, mod_b.phi, d.q, 1)
     return ShortExactSequence(mod_a, mod_b, mod_c, inject=ker.basis, project=proj)
 
 
@@ -346,14 +352,15 @@ class TameModule(_FiniteModule):
 
 def unramified_part(m: TameModule) -> FrobModule:
     """The sigma-fixed submodule with the restricted Frobenius."""
-    fixed = preimage_lattice(m.sigma - Mat.identity(m.ambient_rank), m.relations)
-    return _submodule(fixed, m.relations, m.phi, m.q, 1)
+    fixed = preimage_lattice(m.sigma - Mat.identity(m.ambient_rank), m.relations,
+                             modulus=m.exponent)
+    return _submodule(fixed, m.relations, m.exponent, m.phi, m.q, 1)
 
 
 def twisted_coinvariants(m: TameModule) -> FrobModule:
     """The sigma-coinvariants with Frobenius divided by q (one negative twist)."""
     k = m.ambient_rank
-    rel = m.relations.join(m.sigma - Mat.identity(k))
+    rel = m.relations.join(m.sigma - Mat.identity(k), modulus=m.exponent)
     # the coinvariants' exponent divides m's, and FrobModule reduces phi mod it
     return FrobModule(rel, m.phi.scale(pow(m.q, -1, m.exponent)), m.q)
 
@@ -374,9 +381,9 @@ def tame_h(m: TameModule) -> TameCohomology:
     return TameCohomology(sizes, h0_unr, h1_unr, h0_twist, h1_twist)
 
 
-def _inverse_mod_relations(a: Mat, relations: Sublattice) -> Mat:
-    """A matrix inducing the inverse of `a` on Z^k/relations."""
-    inverse = solve_modulo(a, Mat.identity(a.rows), relations)
+def _inverse_mod_relations(a: Mat, m: TameModule) -> Mat:
+    """A matrix inducing the inverse of `a` on m's group."""
+    inverse = solve_modulo(a, Mat.identity(a.rows), m.relations, modulus=m.exponent)
     if inverse is None:
         raise ModuleError("endomorphism is not invertible on the module")
     return inverse
@@ -396,8 +403,8 @@ def dual_module(m: TameModule, n: int) -> TameModule:
     admissible = preimage_mod(m.relations.basis.transpose(), n)
     w = admissible.basis
     rel = preimage_mod(w, n)
-    sigma_inv = _inverse_mod_relations(m.sigma, m.relations)
-    phi_inv = _inverse_mod_relations(m.phi, m.relations)
+    sigma_inv = _inverse_mod_relations(m.sigma, m)
+    phi_inv = _inverse_mod_relations(m.phi, m)
     sigma_dual = restrict_endomorphism(sigma_inv.transpose(), admissible)
     phi_dual = restrict_endomorphism(phi_inv.transpose(), admissible).scale(m.q)
     dual = TameModule(rel, sigma_dual, phi_dual, m.e, m.q)

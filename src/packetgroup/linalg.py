@@ -5,24 +5,22 @@ with no floating point.  Lattices are kept in the *column* Hermite normal
 form with the lower-triangular convention: pivot rows strictly increase,
 pivots are positive, each entry in a pivot row outside the pivot column is
 reduced into [0, pivot); so lattice equality is plain value equality.  The
-HNF answers every question whose answer is a basis (spans, images, exact
-kernels and preimages, so `meet`), and back substitution on its pivots
-gives coordinates (`coords_of`, `restrict_endomorphism`).  The HNF of
-[b; I] also solves b @ X = T (`solve_columns`, behind `solve_modulo`):
-coordinates of T in its top part, pushed through its bottom part; a base
-change's inverse is the square unimodular case.  A lattice known to
-contain D * Z^k (a subgroup of (Z/D)^k) is spanned modulo D,
-`Sublattice.from_columns(..., modulus=D)`: the one place where entries
-are reduced, and exact because the reduction moves rows only by vectors
-of the lattice.  So a congruence mod n, `preimage_mod`, is the preimage
-block [m; I] spanned modulo n.  The Smith form serves only where the
-Hermite form does not give the answer: `quotient_invariants` reads its
-diagonal, and `residue`'s level functions, through `congruence_lattice`,
-its V and diagonal, once per datum.  `congruence_lattice` takes V already
-pushed through any matrix and any modulus, so a level image is read off V
-pushed through the sub-lattice basis, modulo N = q**m - 1 or, in the
-packet-group loop, modulo the n-primary part of N; and conditions mod n
-and mod n*N are stacked into one congruence mod n*N, the first scaled by N.
+HNF answers every question whose answer is a basis, and back substitution
+on its pivots gives coordinates (`coords_of`, `restrict_endomorphism`).
+Every preimage and solve reads one block, [[m, T], [I, 0]] for a target
+lattice T (`_hermite_block`; Cohen, GTM 138, section 2.4): the bottoms of
+its columns whose top vanished span {x : m @ x in T} (`preimage_lattice`,
+so `kernel_lattice`, `preimage_mod` and `meet`), and its other columns
+solve m @ X - B in T (`solve_modulo`, so `solve_columns`).  A lattice
+known to contain D * Z^k is spanned modulo D (`modulus=D`: 0 for kernels,
+n for a congruence mod n, the exponent for a finite module), exact since
+each reduction moves a row by a vector of the lattice.  The Smith form
+serves only where the Hermite form does not give the answer:
+`quotient_invariants` reads its diagonal, and `residue`'s level functions,
+through `congruence_lattice`, its V and diagonal, once per datum, pushed
+through any matrix and modulo N = q**m - 1 or its n-primary part; and
+conditions mod n and mod n*N are stacked into one mod n*N, the first
+scaled by N.
 """
 
 from __future__ import annotations
@@ -240,6 +238,8 @@ def _row_hnf(rows: Iterable[Sequence[int]], width: int, modulus: int = 0) -> lis
     multiples of D * e_j for unreached j, whose rows are still there, the
     span stays the same and no entry outgrows D.
     """
+    if modulus < 0:
+        raise LatticeError("modulus must be >= 0")
     if modulus:
         reduced = ([x % modulus for x in row] for row in rows)
         work = [row for row in reduced if any(row)]
@@ -394,32 +394,44 @@ def smith(m: Mat) -> SmithDecomposition:
     return dec
 
 
-def solve_columns(b: Mat, target: Mat) -> Optional[Mat]:
-    """Integral X with b @ X == target, or None if no integral solution.
+def _hermite_block(m: Mat, target: "Sublattice", modulus: int) -> tuple[list, list]:
+    """The canonical column HNF of [[m, T], [I, 0]], T the target's basis,
+    split in two: its columns with a nonzero top part, whose tops H span
+    m's image plus T and whose bottoms W have m @ W - H in T; and the
+    bottoms of its columns whose top vanished, a canonical basis of the
+    preimage of T.  A modulus D >= 1 is valid when T contains D * Z^rows,
+    for then the block spans D * Z^(rows+cols) too."""
+    if m.rows != target.ambient_rank:
+        raise AmbientMismatch("matrix height differs from target ambient rank")
+    top, k = m.rows, m.cols
+    block = [c + tuple(int(i == j) for i in range(k)) for j, c in enumerate(m._columns)]
+    block += [c + (0,) * k for c in target.basis._columns]
+    hnf = _row_hnf(block, top + k, modulus)
+    return [c for c in hnf if any(c[:top])], [c[top:] for c in hnf if not any(c[:top])]
 
-    The column HNF of [b; I] spans the pairs (b x; x).  Its columns whose
-    top part is nonzero have tops H, the canonical basis of b's column
-    span, and bottoms W with b @ W = H (Cohen, GTM 138, section 2.4); a
-    target column solves exactly when it has coordinates c in H, by W @ c.
-    """
-    if b.rows != target.rows:
+
+def solve_modulo(m: Mat, target: Mat, lattice: "Sublattice", *, modulus: int = 0) -> Optional[Mat]:
+    """Integral X with every column of m @ X - target in `lattice`, or None:
+    a target column solves exactly when it has coordinates c in the tops H
+    of `_hermite_block`, by W @ c.  `modulus` is as there."""
+    if m.rows != target.rows:
         raise LatticeError("shape mismatch in solve")
-    kept = [c for c in column_hnf(b.vstack(Mat.identity(b.cols)))._columns if any(c[:b.rows])]
-    span = Sublattice(b.rows, Mat.from_columns([c[:b.rows] for c in kept], rows=b.rows))
+    kept, _ = _hermite_block(m, lattice, modulus)
+    span = Sublattice(m.rows, Mat.from_columns([c[:m.rows] for c in kept], rows=m.rows))
     coords = [span.coords_of(t) for t in target._columns]
     if None in coords:
         return None
-    w = Mat.from_columns([c[b.rows:] for c in kept], rows=b.cols)
+    w = Mat.from_columns([c[m.rows:] for c in kept], rows=m.cols)
     x = w @ Mat.from_columns(coords, rows=span.rank)
     if __debug__:
-        assert b @ x == target, "solve failed to verify"
+        assert all(map(lattice.contains_vector, (m @ x - target)._columns)), \
+            "solve failed to verify"
     return x
 
 
-def solve_modulo(m: Mat, target: Mat, lattice: "Sublattice") -> Optional[Mat]:
-    """Integral X with every column of m @ X - target in `lattice`, or None."""
-    sol = solve_columns(m.hstack(lattice.basis), target)
-    return None if sol is None else Mat(m.cols, sol.cols, sol.entries[:m.cols * sol.cols])
+def solve_columns(b: Mat, target: Mat) -> Optional[Mat]:
+    """Integral X with b @ X == target, or None if no integral solution."""
+    return solve_modulo(b, target, Sublattice.zero(b.rows))
 
 
 @dataclass(frozen=True)
@@ -469,8 +481,6 @@ class Sublattice:
         cols = [list(c) for c in columns]
         if any(len(c) != ambient_rank for c in cols):
             raise LatticeError("column length differs from ambient rank")
-        if modulus < 0:
-            raise LatticeError("modulus must be >= 0")
         reduced = _row_hnf(cols, ambient_rank, modulus)
         return cls(ambient_rank, Mat.from_columns(reduced, rows=ambient_rank))
 
@@ -532,11 +542,13 @@ class Sublattice:
             raise AmbientMismatch("matrix width differs from ambient rank")
         return Sublattice.from_matrix(a @ self.basis)
 
-    def join(self, m: Mat) -> "Sublattice":
-        """The span of the columns of `m` together with this lattice."""
+    def join(self, m: Mat, *, modulus: int = 0) -> "Sublattice":
+        """The span of the columns of `m` together with this lattice; a
+        modulus D >= 1 is valid when this lattice contains D * Z^k."""
         if m.rows != self.ambient_rank:
             raise AmbientMismatch("matrix height differs from ambient rank")
-        return Sublattice.from_columns(self.ambient_rank, m.columns() + self.basis.columns())
+        return Sublattice.from_columns(self.ambient_rank, m.columns() + self.basis.columns(),
+                                       modulus=modulus)
 
     def meet(self, other: "Sublattice") -> "Sublattice":
         """The intersection of this lattice with `other`."""
@@ -590,21 +602,10 @@ def kernel_lattice(m: Mat) -> Sublattice:
     return preimage_lattice(m, Sublattice.zero(m.rows))
 
 
-def _vanished_tops(hnf: Mat, top: int) -> Sublattice:
-    """The bottoms of the columns of a canonical column HNF whose first `top`
-    rows vanish: a canonical basis of the block's meet with 0 + Z^rest."""
-    return Sublattice(hnf.rows - top, Mat.from_columns(
-        [c[top:] for c in hnf._columns if not any(c[:top])], rows=hnf.rows - top))
-
-
-def preimage_lattice(m: Mat, target: Sublattice) -> Sublattice:
-    """{x in Z^cols : m @ x in target}: the bottoms of the columns of the column
-    HNF of [[m, target], [I, 0]] whose top part vanished (Cohen, GTM 138, 2.4)."""
-    if m.rows != target.ambient_rank:
-        raise AmbientMismatch("matrix height differs from target ambient rank")
-    k = m.cols
-    block = m.vstack(Mat.identity(k)).hstack(target.basis.vstack(Mat.zeros(k, target.rank)))
-    pre = _vanished_tops(column_hnf(block), m.rows)
+def preimage_lattice(m: Mat, target: Sublattice, *, modulus: int = 0) -> Sublattice:
+    """{x in Z^cols : m @ x in target}, read off `_hermite_block`; a modulus
+    D >= 1 is valid when the target contains D * Z^rows."""
+    pre = Sublattice(m.cols, Mat.from_columns(_hermite_block(m, target, modulus)[1], rows=m.cols))
     if __debug__:
         assert all(target.contains_vector(m.apply(c)) for c in pre.basis._columns), \
             "preimage basis vector escapes the target"
@@ -612,16 +613,8 @@ def preimage_lattice(m: Mat, target: Sublattice) -> Sublattice:
 
 
 def preimage_mod(m: Mat, n: int) -> Sublattice:
-    """{x in Z^cols : m @ x == 0 mod n} for n >= 1; always contains n Z^cols.
-
-    With target n * Z^rows, `preimage_lattice`'s block spans a lattice that
-    contains n * Z^(rows + cols), so it is the span of [m; I] modulo n.
-    """
-    if n < 1:
-        raise LatticeError("modulus must be >= 1")
-    block = m.vstack(Mat.identity(m.cols))
-    return _vanished_tops(
-        Sublattice.from_columns(block.rows, block._columns, modulus=n).basis, m.rows)
+    """{x in Z^cols : m @ x == 0 mod n} for n >= 1; always contains n Z^cols."""
+    return preimage_lattice(m, Sublattice.scaled(m.rows, n), modulus=n)
 
 
 def fixed_point_conditions(mats: Iterable[Mat], k: int) -> Mat:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -17,7 +18,9 @@ from hypothesis import strategies as st
 
 from packetgroup import oracle, residue
 from packetgroup.cli import _any_int_digits, _load_config, main
-from packetgroup.datum import Q_LIMIT, validate
+from packetgroup.datum import Q_LIMIT, matrix_inverse_unimodular, validate
+from packetgroup.linalg import Mat
+from packetgroup.randomgen import random_unimodular
 from packetgroup.residue import LEVEL_BITS_LIMIT
 
 from conftest import CONFIG_DIR, RAMIFIED_CYCLE3, REPO_ROOT
@@ -447,6 +450,36 @@ def test_level_errors_exit_2(capsys):
         assert time.perf_counter() - start < 1.0, argv
         assert code == 2, argv
         assert json.loads(out)["error"] == {"kind": "LevelError", "message": message}
+
+
+def cohomology_ladder(r: int, basis: bool) -> dict:
+    """Relations 3^120 * I over q = 2 with phi random_unimodular(Random(0));
+    with `basis`, Phi then P drawn from Random(1), relations P * 3^120 * I
+    and phi = P Phi P^-1."""
+    rng = random.Random(int(basis))
+    phi = random_unimodular(rng, r, ops=3 * r)
+    p = random_unimodular(rng, r, ops=3 * r) if basis else Mat.identity(r)
+    return {"relations": p.scale(3 ** 120).to_rows(),
+            "phi": (p @ phi @ matrix_inverse_unimodular(p)).to_rows(), "q": 2}
+
+
+# stdout sha256 recorded when the relation lattices took the exact Hermite
+# form, which took over 100 s at r = 20 and at r = 12 in a basis P
+@pytest.mark.parametrize("r, basis, sha256", [
+    (8, False, "1da599a9bb69991d370b4e7fb5651c2b01045918cbb781b31b8232edc173bfcc"),
+    (12, False, "41d9f6e080a16e53ff4759d42ff73e31b68cdc50f212e9be3135d976fe7c8dfd"),
+    (8, True, "e660106897a08a415b49513e165039cd91c366bee7bc37a95fe05d4e31e08bc0"),
+    (20, False, None),
+    (16, True, None),
+])
+def test_cohomology_ladder_bounded_time(capsys, tmp_path, r, basis, sha256):
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(cohomology_ladder(r, basis)))
+    start = time.perf_counter()
+    code, out = run_cli(capsys, "cohomology", str(path))
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and json.loads(out)["results"]["counting"]["ok"] is True
+    assert sha256 is None or hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_large_q_bounded_time(capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 from math import gcd
 
 import pytest
@@ -11,10 +12,10 @@ from packetgroup.cohomology import (ExactnessError, FrobModule, ModuleError,
                                     tame_h, tate_twist, twisted_coinvariants,
                                     unramified_part)
 from packetgroup.datum import NotPrimePower, validate
-from packetgroup.linalg import AmbientMismatch, Mat, Sublattice
+from packetgroup.linalg import AmbientMismatch, Mat, Sublattice, preimage_lattice, solve_modulo
 from packetgroup.randomgen import random_tame_module
 
-from conftest import gcd_violating_datum, load_config
+from conftest import CONFIG_DIR, RAMIFIED_CYCLE3, gcd_violating_datum, load_config
 
 
 def cyclic(n, mult, q):
@@ -149,7 +150,7 @@ def test_exactness_failure_detection():
 
 
 def test_residue_sequence_bundled():
-    from packetgroup.linalg import preimage_lattice, quotient_invariants
+    from packetgroup.linalg import quotient_invariants
     from packetgroup.sharp import y_sharp
     for name in ("swap_q3_n2", "ramified_r1_q7_n3", "s3_ramified_q7_n2",
                  "minus_one_r2_q5_n4", "rot4_r2_q5_n4", "split_r2_q5_n4"):
@@ -291,3 +292,42 @@ def test_herbrand_equality_random():
         unr = unramified_part(m)
         h0, h1 = h0_h1(unr)
         assert h0.order == h1.order
+
+
+def _agreement_cases():
+    """(matrix, target module) pairs: every action and action - 1 of 60 random
+    tame modules and of the residue-sequence terms, and the sequences' maps."""
+    rng = random.Random(22)
+    modules, cases = [random_tame_module(rng) for _ in range(60)], []
+    for config in [load_config(p.stem) for p in sorted(CONFIG_DIR.glob("*.json"))] + \
+            [RAMIFIED_CYCLE3]:
+        d = validate(config)
+        ses = residue_sharp_sequence(d, d.gamma_exponent)
+        modules += [ses.left, ses.mid, ses.right]
+        cases += [(ses.inject, ses.mid), (ses.project, ses.right)]
+    for m in modules:
+        for a in (getattr(m, name) for name in m.ACTIONS):
+            cases += [(a, m), (a - Mat.identity(m.ambient_rank), m)]
+    return cases
+
+
+def test_modular_block_agrees_with_the_exact_one():
+    # a relation lattice contains exponent * Z^k, so every preimage, span and
+    # solve modulo the exponent must equal its exact counterpart
+    outcomes, scanned = set(), 0
+    for a, m in _agreement_cases():
+        rel, e = m.relations, m.exponent
+        pre = preimage_lattice(a, rel, modulus=e)
+        assert pre == preimage_lattice(a, rel)
+        assert rel.join(a, modulus=e) == rel.join(a)
+        for t in Mat.identity(a.rows).columns() + a.columns():
+            t = Mat.from_columns([t], rows=a.rows)
+            sol = solve_modulo(a, t, rel, modulus=e)
+            assert (sol is None) == (solve_modulo(a, t, rel) is None)
+            assert sol is None or all(map(rel.contains_vector, (a @ sol - t).columns()))
+            outcomes.add(sol is None)
+        if e ** a.cols <= 10 ** 4:
+            scanned += 1
+            for x in product(range(e), repeat=a.cols):
+                assert pre.contains_vector(x) == rel.contains_vector(a.apply(x)), x
+    assert outcomes == {True, False} and scanned > 200

@@ -463,6 +463,26 @@ def test_solve_unsolvable():
                          Mat.from_columns([[1, 2]], rows=2)) is None
 
 
+@pytest.mark.skipif(not __debug__, reason="the preimage check is a __debug__ assertion")
+def test_wrong_modulus_is_caught():
+    # 0 does not contain 5 * Z^2, so the modular span would return 5 * Z^2
+    with pytest.raises(AssertionError, match="escapes the target"):
+        preimage_lattice(Mat.identity(2), Sublattice.zero(2), modulus=5)
+    # modulo 3, 2 * x = 1 reads x = 2
+    with pytest.raises(AssertionError, match="solve failed to verify"):
+        solve_modulo(Mat.from_rows([[2]]), Mat.from_columns([[1]]), Sublattice.zero(1),
+                     modulus=3)
+
+
+def test_solve_modulo_ambient_mismatch():
+    with pytest.raises(AmbientMismatch):
+        solve_modulo(Mat.identity(2), Mat.identity(2), Sublattice.full(3))
+    with pytest.raises(LatticeError):
+        solve_modulo(Mat.identity(2), Mat.identity(3), Sublattice.full(2))
+    with pytest.raises(LatticeError):
+        preimage_lattice(Mat.identity(2), Sublattice.full(2), modulus=-1)
+
+
 def test_restrict_endomorphism():
     lat = Sublattice.from_columns(2, [[1, 1], [0, 2]])
     swap = Mat.from_rows([[0, 1], [1, 0]])
