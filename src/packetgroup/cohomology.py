@@ -69,7 +69,8 @@ class _FiniteModule:
     each action must descend to the quotient and act invertibly there,
     the subclass's q must be a prime power and the group order must be
     prime to it.  Actions are stored reduced modulo the group exponent, so
-    equal actions have equal presentations.
+    equal actions have equal presentations.  Every subclass has a Frobenius
+    action phi; the lattices behind its H^0 and H^1 are kept once built.
     """
 
     ACTIONS: ClassVar[tuple[str, ...]] = ()
@@ -114,6 +115,18 @@ class _FiniteModule:
     def group(self) -> FinAbGroup:
         return quotient_invariants(Sublattice.full(self.ambient_rank), self.relations)
 
+    @cached_property
+    def phi_fixed(self) -> Sublattice:
+        """The vectors that phi - 1 sends into R; over R they give ker(phi - 1)."""
+        return preimage_lattice(self.phi - Mat.identity(self.ambient_rank), self.relations,
+                                modulus=self.exponent)
+
+    @cached_property
+    def h1_relations(self) -> Sublattice:
+        """The relations of coker(phi - 1): R joined with the image of phi - 1."""
+        return self.relations.join(self.phi - Mat.identity(self.ambient_rank),
+                                   modulus=self.exponent)
+
 
 @dataclass(frozen=True)
 class FrobModule(_FiniteModule):
@@ -136,16 +149,10 @@ class TameCohomology:
     h1_twist: FinAbGroup
 
 
-def _h1_relations(m: FrobModule) -> Sublattice:
-    return m.relations.join(m.phi - Mat.identity(m.ambient_rank), modulus=m.exponent)
-
-
 def h0_h1(m: FrobModule) -> tuple[FinAbGroup, FinAbGroup]:
     """(ker(phi-1), coker(phi-1)) as invariant factors; orders agree."""
-    kernel = preimage_lattice(m.phi - Mat.identity(m.ambient_rank), m.relations,
-                              modulus=m.exponent)
-    h0 = quotient_invariants(kernel, m.relations)
-    h1 = quotient_invariants(Sublattice.full(m.ambient_rank), _h1_relations(m))
+    h0 = quotient_invariants(m.phi_fixed, m.relations)
+    h1 = quotient_invariants(Sublattice.full(m.ambient_rank), m.h1_relations)
     if h0.order != h1.order:
         raise ModuleError("kernel and cokernel of phi-1 differ in size")
     return h0, h1
@@ -166,39 +173,52 @@ class ShortExactSequence:
     inject: Mat
     project: Mat
 
+    @cached_property
+    def projection_kernel(self) -> Sublattice:
+        """The preimage of the right term's relations under the projection."""
+        return preimage_lattice(self.project, self.right.relations,
+                                modulus=self.right.exponent)
+
+    @cached_property
+    def failures(self) -> tuple[str, ...]:
+        """The verdict of `exactness_failures`."""
+        a, b, c = self.left, self.mid, self.right
+        f, g = self.inject, self.project
+        problems: list[str] = []
+        if (f.rows, f.cols) != (b.ambient_rank, a.ambient_rank):
+            return ("injection shape mismatch",)
+        if (g.rows, g.cols) != (c.ambient_rank, b.ambient_rank):
+            return ("projection shape mismatch",)
+        if not _columns_in(f @ a.relations.basis, b.relations):
+            problems.append("injection does not respect relations")
+        if not _columns_in(g @ b.relations.basis, c.relations):
+            problems.append("projection does not respect relations")
+        if not _columns_in(b.phi @ f - f @ a.phi, b.relations):
+            problems.append("injection does not commute with phi")
+        if not _columns_in(c.phi @ g - g @ b.phi, c.relations):
+            problems.append("projection does not commute with phi")
+        if problems:
+            return tuple(problems)
+        if preimage_lattice(f, b.relations, modulus=b.exponent) != a.relations:
+            problems.append("injection has a kernel")
+        if b.relations.join(f, modulus=b.exponent) != self.projection_kernel:
+            problems.append("image of the injection differs from the kernel of the projection")
+        if c.relations.join(g, modulus=c.exponent) != Sublattice.full(c.ambient_rank):
+            problems.append("projection is not surjective")
+        return tuple(problems)
+
 
 def exactness_failures(ses: ShortExactSequence) -> tuple[str, ...]:
-    """Empty iff the maps form a short exact sequence commuting with phi."""
-    a, b, c = ses.left, ses.mid, ses.right
-    f, g = ses.inject, ses.project
-    problems: list[str] = []
-    if (f.rows, f.cols) != (b.ambient_rank, a.ambient_rank):
-        return ("injection shape mismatch",)
-    if (g.rows, g.cols) != (c.ambient_rank, b.ambient_rank):
-        return ("projection shape mismatch",)
-    if not _columns_in(f @ a.relations.basis, b.relations):
-        problems.append("injection does not respect relations")
-    if not _columns_in(g @ b.relations.basis, c.relations):
-        problems.append("projection does not respect relations")
-    if not _columns_in(b.phi @ f - f @ a.phi, b.relations):
-        problems.append("injection does not commute with phi")
-    if not _columns_in(c.phi @ g - g @ b.phi, c.relations):
-        problems.append("projection does not commute with phi")
-    if problems:
-        return tuple(problems)
-    if preimage_lattice(f, b.relations, modulus=b.exponent) != a.relations:
-        problems.append("injection has a kernel")
-    if b.relations.join(f, modulus=b.exponent) != \
-            preimage_lattice(g, c.relations, modulus=c.exponent):
-        problems.append("image of the injection differs from the kernel of the projection")
-    if c.relations.join(g, modulus=c.exponent) != Sublattice.full(c.ambient_rank):
-        problems.append("projection is not surjective")
-    return tuple(problems)
+    """Empty iff the maps form a short exact sequence commuting with phi.
+
+    The verdict is computed once per sequence and kept on it.
+    """
+    return ses.failures
 
 
 def h1_class(m: FrobModule, vec: Sequence[int]) -> tuple[int, ...]:
     """Canonical representative of a vector's class in coker(phi - 1)."""
-    return _h1_relations(m).reduce_vector(vec)
+    return m.h1_relations.reduce_vector(vec)
 
 
 def _connecting_values(ses: ShortExactSequence, classes: Mat) -> Mat:
@@ -229,9 +249,9 @@ def _connecting_values(ses: ShortExactSequence, classes: Mat) -> Mat:
 
     values = pull_back(lifts)
     if __debug__ and b.ambient_rank:
-        shift = preimage_lattice(g, c.relations, modulus=c.exponent).basis.col(0)
+        shift = ses.projection_kernel.basis.col(0)
         others = lifts + Mat.from_columns([shift] * lifts.cols, rows=b.ambient_rank)
-        assert _columns_in(pull_back(others) - values, _h1_relations(a)), \
+        assert _columns_in(pull_back(others) - values, a.h1_relations), \
             "connecting value depends on the lift"
     return values
 
@@ -248,11 +268,8 @@ def connecting(ses: ShortExactSequence, c: Sequence[int]) -> tuple[int, ...]:
 
 def image_of_connecting(ses: ShortExactSequence) -> FinAbGroup:
     """Subgroup of h1(left) generated by the connecting images of h0(right)."""
-    cc = ses.right
-    fixed = preimage_lattice(cc.phi - Mat.identity(cc.ambient_rank), cc.relations,
-                             modulus=cc.exponent)
-    denom = _h1_relations(ses.left)
-    values = _connecting_values(ses, fixed.basis)
+    denom = ses.left.h1_relations
+    values = _connecting_values(ses, ses.right.phi_fixed.basis)
     return quotient_invariants(denom.join(values, modulus=ses.left.exponent), denom)
 
 

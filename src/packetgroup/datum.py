@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .linalg import Mat, column_hnf
@@ -232,37 +233,59 @@ def _basis_orbit(gens: Sequence[Mat], rank: int,
     return tuple(orbit), [tuple(row) for row in images]
 
 
-def _close(elems: set[Perm], frontier: list[Perm], gens: Sequence[Perm],
-           cap: int) -> None:
-    """Add to `elems` every product of a frontier element with the generators,
-    until none is new; the product x @ g of orbit permutations is x[g[i]] at i."""
-    while frontier:
-        fresh = []
-        for x in frontier:
-            for g in gens:
-                y = tuple(map(x.__getitem__, g))
-                if y not in elems:
-                    elems.add(y)
-                    fresh.append(y)
-                    if len(elems) > cap:
+def _close(elems: set[Perm], gens: Sequence[Perm], cap: int) -> None:
+    """Grow the group `elems` into the group it generates with `gens`.
+
+    Dimino's coset-by-coset closure (G. Butler, *Fundamental Algorithms for
+    Permutation Groups*, LNCS 559, 1991): a generator g outside the group H
+    so far makes <H, g> a union of right cosets H y.  A breadth-first search
+    over the representatives y, from the identity, tries y s for every
+    generator s used so far; a product outside the union starts the coset
+    H (y s), formed whole.  The union is then closed under the generators,
+    so it is <H, g>.  The product x @ s of orbit permutations is x[s[i]]
+    at i; the cap is checked before each coset is formed.
+    """
+    for k, g in enumerate(gens):
+        if g in elems:
+            continue
+        # g moves a point, so every permutation here has two or more points
+        # and itemgetter(*s) maps x to the tuple x @ s
+        steps = [itemgetter(*s) for s in gens[:k + 1]]
+        subgroup, reps = list(elems), [tuple(range(len(g)))]
+        for y in reps:  # the loop visits the representatives it appends
+            for step in steps:
+                z = step(y)
+                if z not in elems:
+                    if len(elems) + len(subgroup) > cap:
                         raise _cap_exceeded(cap)
-        frontier = fresh
+                    elems.update(map(itemgetter(*z), subgroup))
+                    reps.append(z)
 
 
-def _perm_order(x: Perm) -> int:
-    """The lcm of the cycle lengths."""
-    order = 1
-    unseen = set(range(len(x)))
-    while unseen:
-        i = unseen.pop()
-        length = 1
-        j = x[i]
-        while j != i:
-            unseen.discard(j)
-            j = x[j]
-            length += 1
-        order = lcm(order, length)
-    return order
+def _exponent(group: set[Perm], gens: Sequence[Perm]) -> int:
+    """The exponent of `group`, the lcm of the cycle lengths through one
+    point of each <gens>-orbit in each element.
+
+    That suffices: the cycle of g(i) under g x g^-1 is as long as the cycle
+    of i under x, and g x g^-1 runs over the whole group as x does.
+    """
+    points: list[int] = []
+    seen: set[int] = set()
+    for i in range(len(gens[0])):
+        if i not in seen:
+            points.append(i)
+            todo = {i}
+            while todo:
+                seen |= todo
+                todo = {g[j] for g in gens for j in todo} - seen
+    lengths = set()
+    for x in group:
+        for i in points:
+            length, j = 1, x[i]
+            while j != i:
+                length, j = length + 1, x[j]
+            lengths.add(length)
+    return lcm(*lengths)
 
 
 def fold_upper(m: Mat) -> Mat:
@@ -345,7 +368,7 @@ def validate(config: Mapping[str, object], *,
     orbit, perms = _basis_orbit(gens, rank, closure_cap)
     ident = tuple(range(len(orbit)))
     inertia = {ident}
-    _close(inertia, [ident], perms[:-1], closure_cap)
+    _close(inertia, perms[:-1], closure_cap)
     e = len(inertia)
 
     frob = perms[-1]
@@ -354,9 +377,9 @@ def validate(config: Mapping[str, object], *,
         if tuple(frob[g[j]] for j in frob_inv) not in inertia:
             raise InertiaNotNormalized(
                 f"frobenius does not normalize the inertia group (generator {i})")
-    # F normalizes I, so the cosets I F^j form a group holding every generator
+    # the group is I together with its cosets I F^j, closed one coset at a time
     group = set(inertia)
-    _close(group, list(inertia), perms[-1:], closure_cap)
+    _close(group, perms, closure_cap)
 
     if gcd(n, e) != 1:
         raise RamificationGcdError(
@@ -375,7 +398,7 @@ def validate(config: Mapping[str, object], *,
         group_perms=frozenset(group),
         inertia_perms=frozenset(inertia),
         e=e,
-        gamma_exponent=lcm(*map(_perm_order, group)),
+        gamma_exponent=_exponent(group, perms),
     )
 
 

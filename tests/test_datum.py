@@ -15,7 +15,8 @@ from packetgroup.datum import (ConfigError, DeterminantError, FormNotInvariant,
 from packetgroup.linalg import Mat
 from packetgroup.randomgen import random_config, random_unimodular
 
-from conftest import gcd_violating_datum, load_config, permutation_group_config
+from conftest import (RAMIFIED_CYCLE3, gcd_violating_datum, load_config,
+                      permutation_group_config)
 
 
 def test_validate_swap_example():
@@ -84,6 +85,7 @@ def test_finite_group_with_orbit_vectors_agreeing_mod_3():
 @pytest.mark.parametrize("family,r,order,exponent,budget_s", [
     ("S", 7, 5040, 420, 5.0),
     ("B", 6, 46080, 120, 5.0),
+    ("S", 8, 40320, 840, 5.0),
 ])
 def test_permutation_group_closed_forms(family, r, order, exponent, budget_s):
     # |S_r| = r!, exponent lcm(1..r); |B_r| = 2^r r!, exponent twice that
@@ -266,6 +268,28 @@ def test_closure_matches_matrix_products_on_permutation_groups(family, r):
     if family == "B":
         order, exponent = 2 ** r * order, 2 * exponent
     assert (d.group_order, d.e, d.gamma_exponent) == (order, order, exponent)
+
+
+def test_exponent_reads_every_orbit_of_the_basis():
+    # a 3-cycle on e1..e3 as inertia and the swap of e4, e5 as Frobenius:
+    # the basis orbit splits into two group orbits, whose cycle lengths 3
+    # and 2 are both needed for the exponent 6
+    def perm(images):
+        return [[int(images[j] == i) for j in range(5)] for i in range(5)]
+
+    cfg = {"rank": 5, "inertia_gens": [perm([1, 2, 0, 3, 4])],
+           "frobenius": perm([0, 1, 2, 4, 3]), "q": 5, "n": 4, "Q_upper": perm(range(5))}
+    d = validate(cfg)
+    _assert_closure_matches_matrices(d)  # the exponent is also the lcm of matrix orders
+    assert (d.group_order, d.e, d.gamma_exponent) == (6, 3, 6)
+
+
+def test_closure_cap_binds_at_the_frobenius_cosets():
+    # e = 3 fits a cap of 3; the first coset of inertia would make 6
+    assert validate(RAMIFIED_CYCLE3, closure_cap=6).group_order == 6
+    for cap in (3, 5):
+        with pytest.raises(GroupNotFinite, match=f"cap of {cap} elements"):
+            validate(RAMIFIED_CYCLE3, closure_cap=cap)
 
 
 @given(st.integers(1, 6), st.integers(0, 2 ** 32))
