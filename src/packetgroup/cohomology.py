@@ -22,7 +22,7 @@ from .datum import CoverDatum, prime_power_decomposition
 from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, fixed_point_conditions,
                      preimage_lattice, preimage_mod, quotient_invariants,
                      restrict_endomorphism, solve_modulo)
-from .residue import level_modulus
+from .residue import _restrictions, level_modulus
 from .sharp import y_sharp
 
 
@@ -310,8 +310,7 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
 
     # middle term: inside the n*N-torsion of the sharp lattice, the
     # preimage of the level-m part, restricted to inertia-fixed points
-    sharp_gens = [restrict_endomorphism(g, sharp_lat) for g in d.inertia_gens]
-    sharp_frob = restrict_endomorphism(d.frobenius, sharp_lat)
+    sharp_gens, sharp_frob = _restrictions(d, sharp_lat)
     # s @ x in n Z^r iff N s @ x in n N Z^r: one congruence mod n N
     lat_b = preimage_mod(s.scale(n_mod).vstack(fixed_point_conditions(sharp_gens, r)),
                          big_mod)

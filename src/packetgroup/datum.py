@@ -156,6 +156,24 @@ class CoverDatum:
     def inertia_elements(self) -> tuple[Mat, ...]:
         return self._matrices(self.inertia_perms)
 
+    @cached_property
+    def _level_free(self) -> dict:
+        """What `sharp` and `residue` derive from the datum alone: the fixed
+        lattice, the sharp lattices keyed by their targets and, keyed by
+        lattice, the generators' restrictions and the Smith data of the
+        twisted conditions.  Filled by `_once`; like every cached property
+        it is kept out of eq, hash and repr, and a `dataclasses.replace`
+        copy starts empty."""
+        return {}
+
+    def _once(self, key, compute):
+        """compute(), stored under `key` on the first call and read back on
+        every later one; a call that raises stores nothing."""
+        memo = self._level_free
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
+
 
 def parse_matrix(obj: object, what: str, cols: Optional[int] = None,
                  rows: Optional[int] = None) -> Mat:

@@ -112,35 +112,47 @@ class StabilizationPolicy:
             raise LevelError("max_level must be >= 1")
 
 
-def _twisted_conditions(d: CoverDatum, sub: Sublattice,
-                        push: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """(push @ V, diag) of the SNF U @ c @ V = diag(diag) of the conditions c
-    for a point of sub x mu_N to be fixed, in sub's basis.
+def _restrictions(d: CoverDatum, sub: Sublattice) -> tuple[tuple[Mat, ...], Mat]:
+    """The inertia generators' and Frobenius's restrictions to sub, in sub's
+    basis, computed once per datum and lattice."""
+    return d._once(("restrictions", sub), lambda: (
+        tuple(restrict_endomorphism(g, sub) for g in d.inertia_gens),
+        restrict_endomorphism(d.frobenius, sub)))
+
+
+def _twisted_conditions(d: CoverDatum,
+                        sub: Sublattice) -> tuple[Mat, Mat, tuple[int, ...]]:
+    """(V, sub.basis @ V, diag) of the SNF U @ c @ V = diag(diag) of the
+    conditions c for a point of sub x mu_N to be fixed, in sub's basis,
+    computed once per datum and lattice.
 
     Inertia generators act through their restriction matrices alone;
     the Frobenius restriction is multiplied by q, encoding x -> x**q on
     the roots of unity.  Nothing here depends on the level: the points at
-    any modulus, pushed through `push`, are `congruence_lattice(*result, N)`.
+    any modulus are `congruence_lattice(V, diag, N)`, and their image in
+    the ambient lattice is the same with V pushed through sub's basis.
     """
-    actions = [restrict_endomorphism(g, sub) for g in d.inertia_gens]
-    actions.append(restrict_endomorphism(d.frobenius, sub).scale(d.q))
-    dec = smith(fixed_point_conditions(actions, sub.rank))
-    return push @ dec.V, dec.d
+    def compute() -> tuple[Mat, Mat, tuple[int, ...]]:
+        inertia, frob = _restrictions(d, sub)
+        dec = smith(fixed_point_conditions(inertia + (frob.scale(d.q),), sub.rank))
+        return dec.V, sub.basis @ dec.V, dec.d
+    return d._once(("twisted", sub), compute)
 
 
-def _points(d: CoverDatum, sub: Sublattice, m: int, push: Mat) -> LevelGroup:
+def _points(d: CoverDatum, sub: Sublattice, m: int, pushed: bool) -> LevelGroup:
     n_mod = level_modulus(d.q, m)
-    return LevelGroup(m, n_mod, congruence_lattice(*_twisted_conditions(d, sub, push), n_mod))
+    v, w, diag = _twisted_conditions(d, sub)
+    return LevelGroup(m, n_mod, congruence_lattice(w if pushed else v, diag, n_mod))
 
 
 def invariant_points(d: CoverDatum, sub: Sublattice, m: int) -> LevelGroup:
     """Fixed points of the twisted action on sub x mu_N, in sub's own basis."""
-    return _points(d, sub, m, Mat.identity(sub.rank))
+    return _points(d, sub, m, pushed=False)
 
 
 def iota_image(d: CoverDatum, sub: Sublattice, m: int) -> LevelGroup:
     """Image of the invariant points in the ambient (Z/N)^r."""
-    return _points(d, sub, m, sub.basis)
+    return _points(d, sub, m, pushed=True)
 
 
 def packet_group_level(d: CoverDatum, m: int) -> FinAbGroup:
@@ -161,13 +173,14 @@ def packet_group(d: CoverDatum,
     level is taken in (Z/M)^r, M the n-primary part of q**m - 1, and only
     M depends on the level: the sharp lattices, the SNFs of their twisted
     fixed-point conditions and each V pushed through its lattice's basis
-    are computed once per call, and each new M costs one modular HNF per
-    lattice and one quotient SNF (for odd n, m0, 2*m0, 4*m0 share one M).
+    are computed once per datum and shared with every other entry point,
+    and each new M costs one modular HNF per lattice and one quotient SNF
+    (for odd n, m0, 2*m0, 4*m0 share one M).
     """
     m = policy.start_level if policy.start_level is not None else d.gamma_exponent
     if m > policy.max_level:
         raise LevelError(f"first level {m} is above max_level = {policy.max_level}")
-    pushed = [_twisted_conditions(d, sub, sub.basis) for sub in (y_gamma_sharp(d), y_sharp(d))]
+    pushed = [_twisted_conditions(d, sub)[1:] for sub in (y_gamma_sharp(d), y_sharp(d))]
     groups: dict[int, FinAbGroup] = {}
     trace: list[tuple[int, FinAbGroup]] = []
     while m <= policy.max_level:

@@ -3,7 +3,9 @@
 For the bilinear form B of a datum and a target sublattice L, the sharp of
 L is {y : B(y, c) = 0 mod n for every basis vector c of L}.  It always
 contains n Z^r and is antitone in the target, so the chain
-n Z^r <= Y^# <= Y^{Gamma#} <= Z^r holds for every valid datum.
+n Z^r <= Y^# <= Y^{Gamma#} <= Z^r holds for every valid datum.  A datum's
+fixed lattice and its sharp lattices depend on no level, so they are
+computed once per datum and kept on it.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from .linalg import (FinAbGroup, LatticeError, Mat, NotASublattice, Sublattice,
 
 
 def fixed_lattice(d: CoverDatum) -> Sublattice:
-    """Vectors fixed by every generator (inertia generators and Frobenius)."""
-    return kernel_lattice(fixed_point_conditions(d.generators, d.rank))
+    """Vectors fixed by every generator (inertia generators and Frobenius),
+    computed once per datum."""
+    return d._once("fixed_lattice",
+                   lambda: kernel_lattice(fixed_point_conditions(d.generators, d.rank)))
 
 
 def sharp(b: Mat, n: int, target: Sublattice) -> Sublattice:
@@ -23,7 +27,8 @@ def sharp(b: Mat, n: int, target: Sublattice) -> Sublattice:
 
     The condition row for a column c is c^T B^T, so the whole system is
     target^T B^T; for the symmetric forms produced by a datum this agrees
-    with target^T B.
+    with target^T B.  `y_sharp` and `y_gamma_sharp` take it once per datum
+    and target.
     """
     if b.rows != b.cols:
         raise LatticeError("bilinear form must be square")
@@ -33,14 +38,20 @@ def sharp(b: Mat, n: int, target: Sublattice) -> Sublattice:
     return preimage_mod(system, n)
 
 
+def _datum_sharp(d: CoverDatum, target: Sublattice) -> Sublattice:
+    """The sharp of target under the datum's form, computed once per datum
+    and target lattice."""
+    return d._once(("sharp", target), lambda: sharp(d.bilinear, d.n, target))
+
+
 def y_sharp(d: CoverDatum) -> Sublattice:
     """Annihilator of the full lattice Z^r."""
-    return sharp(d.bilinear, d.n, Sublattice.full(d.rank))
+    return _datum_sharp(d, Sublattice.full(d.rank))
 
 
 def y_gamma_sharp(d: CoverDatum) -> Sublattice:
     """Annihilator of the fixed lattice."""
-    return sharp(d.bilinear, d.n, fixed_lattice(d))
+    return _datum_sharp(d, fixed_lattice(d))
 
 
 def radical_of_induced_form(d: CoverDatum, sub1: Sublattice,

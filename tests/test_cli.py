@@ -16,10 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packetgroup import oracle, residue
+from packetgroup import oracle, residue, sharp
 from packetgroup.cli import _any_int_digits, _load_config, main
 from packetgroup.datum import Q_LIMIT, matrix_inverse_unimodular, validate
-from packetgroup.linalg import Mat
+from packetgroup.linalg import Mat, Sublattice
 from packetgroup.randomgen import random_unimodular
 from packetgroup.residue import LEVEL_BITS_LIMIT
 
@@ -310,6 +310,37 @@ def test_containment_violation_exit_code(capsys, monkeypatch):
     assert code == 4
     report = json.loads(out)
     assert report["error"] == {"kind": "ContainmentViolation", "message": message}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_oracle_check_reduces_each_lattice_once(capsys, monkeypatch, name):
+    # the datum keeps its level-free data: however many checks read them,
+    # a run takes one sharp preimage per target lattice and one SNF of the
+    # twisted conditions per distinct lattice (full, sharp, gamma-sharp)
+    path = CONFIG_DIR / f"{name}.json"
+    d = validate(json.loads(path.read_text()))
+    targets = {Sublattice.full(d.rank), sharp.fixed_lattice(d)}
+    lattices = {Sublattice.full(d.rank), sharp.y_sharp(d), sharp.y_gamma_sharp(d)}
+    preimages, reductions = [], []
+    preimage, reduction = sharp.sharp, residue.smith
+
+    def counted_preimage(b, n, target):
+        preimages.append(target)
+        return preimage(b, n, target)
+
+    def counted_reduction(m):
+        reductions.append(m)
+        return reduction(m)
+
+    monkeypatch.setattr(sharp, "sharp", counted_preimage)
+    monkeypatch.setattr(residue, "smith", counted_reduction)
+    for level in ("1", "2"):
+        preimages.clear()
+        reductions.clear()
+        code, out = run_cli(capsys, "oracle-check", str(path), "--level", level)
+        assert code == 0 and json.loads(out)["results"]["all_agree"] is True
+        assert sorted(map(str, preimages)) == sorted(map(str, targets)), (name, level)
+        assert len(reductions) == len(lattices) <= 3, (name, level)
 
 
 def test_load_config_closes_file(tmp_path):
@@ -606,6 +637,34 @@ GOLDEN_REPORTS = [
      "f07057d1791841350184eb80ea9a8b3543310c4fc4e6927850658955e74fd1de"),
     (README_COMMUTATOR, 0,
      "ac200abd1a509557c538a8d72314760630d24885041a29eaa7b2bb9295439a6b"),
+    # every bundled config and RAMIFIED_CYCLE3 at levels 1 and 2, recorded
+    # before the datum's level-free lattices and Smith data were kept on it
+    (("oracle-check", "minus_one_r2_q5_n4", "--level", "1", "--format", "json"), 0,
+     "2773676ac0b6fc2c606968686669808283dc54b0ae737c5b47d35913fef52d60"),
+    (("oracle-check", "minus_one_r2_q5_n4", "--level", "2", "--format", "json"), 0,
+     "257d50e9949778111d3eb49e8230d1bdb868b054844178895045a0b843ffac1d"),
+    (("oracle-check", "ramified_r1_q7_n3", "--level", "1", "--format", "json"), 0,
+     "3f6503ae308a0488247064acea45f88b14ad1787e20357a904bfb70e95a35b4f"),
+    (("oracle-check", "ramified_r1_q7_n3", "--level", "2", "--format", "json"), 0,
+     "0fa02e8d59455f36761a3de5bc3be0d8b86505805da034843c44eebdbcc22ba8"),
+    (("oracle-check", "rot4_r2_q5_n4", "--level", "1", "--format", "json"), 0,
+     "f9c8674ba55b44d00dead04315599fcb0ee5a7a38c2e09fe20c8cd8170986f24"),
+    (("oracle-check", "rot4_r2_q5_n4", "--level", "2", "--format", "json"), 0,
+     "dd57b557e23c8728a5c63149b8de3640877ede932b10d639061688c92acfa415"),
+    (("oracle-check", "s3_ramified_q7_n2", "--level", "1", "--format", "json"), 0,
+     "08504ccd2a0f559e34d5afaa09b8c943dca4f691abaae35de7a91439b3d6dbcf"),
+    (("oracle-check", "s3_ramified_q7_n2", "--level", "2", "--format", "json"), 0,
+     "2bfd0cd65fa0d253e3cdcae29c08b59b30b11817becab82164ae9c45e4175b81"),
+    (("oracle-check", "split_r2_q5_n4", "--level", "1", "--format", "json"), 0,
+     "42b1beff0a00bf94e5a185a5019ae8e5626c5fe7d84d6a5d7746e76b0426642d"),
+    (("oracle-check", "split_r2_q5_n4", "--level", "2", "--format", "json"), 0,
+     "76ad1d7eb79d57310c24c2ea1c9d8dc86cef0cb79d68c36118b7b458beaff47a"),
+    (("oracle-check", "swap_q3_n2", "--level", "1", "--format", "json"), 0,
+     "126f55359d9b9edcfed5b2f847162cb94dd50371e2e9cc797d65c4f3dede7c0c"),
+    (("oracle-check", "CYCLE3", "--level", "1", "--format", "json"), 0,
+     "be13749fe0c5c41b559e0efcfbe1f639a85ab36d29acd1c23abf2b6a424e980d"),
+    (("oracle-check", "CYCLE3", "--level", "2", "--format", "json"), 0,
+     "6352e33ff1d31ead2bbe3e3abb940f55f590905155f8c422ece94f397f8b1ab7"),
 ]
 
 
@@ -614,7 +673,10 @@ GOLDEN_REPORTS = [
 def test_golden_report_bytes(capsys, tmp_path, argv, exit_code, sha256):
     module = tmp_path / "module.json"
     module.write_text(json.dumps(README_MODULE))
-    paths = {"SWAP": str(CONFIG_DIR / "swap_q3_n2.json"), "MODULE": str(module)}
+    cycle3 = tmp_path / "cycle3.json"
+    cycle3.write_text(json.dumps(RAMIFIED_CYCLE3))
+    paths = {p.stem: str(p) for p in CONFIG_DIR.glob("*.json")}
+    paths |= {"SWAP": paths["swap_q3_n2"], "MODULE": str(module), "CYCLE3": str(cycle3)}
     code, out = run_cli(capsys, *(paths.get(a, a) for a in argv))
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == (exit_code, sha256)
 

@@ -9,10 +9,10 @@ from packetgroup.cohomology import (FrobModule, ShortExactSequence, connecting,
                                     image_of_connecting, residue_sharp_sequence)
 from packetgroup.datum import conjugated_config, validate
 from packetgroup.linalg import Mat, Sublattice, quotient_invariants
-from packetgroup.oracle import (brute_invariant_points, brute_iota_image,
-                                brute_quotient, subgroup_from_generators)
+from packetgroup.oracle import (brute_invariant_points, brute_iota_image, brute_level_group,
+                                brute_quotient, n_primary_part, subgroup_from_generators)
 from packetgroup.randomgen import random_config, random_unimodular, random_valid_datum
-from packetgroup.residue import iota_image, packet_group_level
+from packetgroup.residue import iota_image, packet_group, packet_group_level
 from packetgroup.sharp import y_gamma_sharp, y_sharp
 
 from conftest import load_config, permutation_group_config, random_unramified_config
@@ -190,3 +190,28 @@ def test_level_groups_against_the_oracle_on_random_data():
                 n_mod, images["gamma_sharp"], images["sharp"]), (cfg, m)
             seen.add(level_group.is_trivial)
     assert seen == {True, False}
+
+
+# largest (Z/M)^r on which the random trace levels are enumerated
+RANDOM_TRACE_SIZE = 10 ** 5
+
+
+def test_random_trace_levels_against_the_oracle():
+    # the 80 data of the test above, drawn the same way; every level of the
+    # packet-group trace, enumerated in (Z/M)^r for M the n-primary part of
+    # q**m - 1, wherever that is small enough
+    rng = random.Random(4)
+    configs = [random_unramified_config(rng) for _ in range(60)]
+    configs += [random_config(rng) for _ in range(20)]
+    checked = []
+    for cfg in configs:
+        d = validate(cfg)
+        lattices = (y_gamma_sharp(d), y_sharp(d))
+        for m, traced in packet_group(d)[1]:
+            modulus = n_primary_part(d.q ** m - 1, d.n)
+            if modulus ** d.rank > RANDOM_TRACE_SIZE:
+                continue
+            assert brute_level_group(d, *lattices, modulus) == traced, (cfg, m)
+            checked.append(traced.is_trivial)
+    # 209 of the 240 trace levels are in reach, 20 of them nontrivial
+    assert (len(checked), checked.count(False)) == (209, 20)

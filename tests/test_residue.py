@@ -4,6 +4,7 @@ import time
 import pytest
 
 from packetgroup import residue
+from packetgroup.cohomology import residue_sharp_sequence
 from packetgroup.datum import RamificationGcdError, conjugated_config, validate
 from packetgroup.linalg import LatticeError, Mat, Sublattice, quotient_invariants
 from packetgroup.oracle import n_primary_part
@@ -12,10 +13,10 @@ from packetgroup.randomgen import (invariant_q_upper, random_config, random_unim
 from packetgroup.residue import (LevelError, LevelGroup, NotStabilized,
                                  StabilizationPolicy, invariant_points, iota_image,
                                  n_primary_modulus, packet_group, packet_group_level)
-from packetgroup.sharp import y_gamma_sharp, y_sharp
+from packetgroup.sharp import radical_of_induced_form, y_gamma_sharp, y_sharp
 
 from conftest import (BUNDLED_EXPECTED_S, RAMIFIED_CYCLE3, RAMIFIED_R1_LEVEL_S,
-                      SWAP_LEVEL_S, load_config)
+                      SWAP_LEVEL_S, load_config, random_unramified_config)
 
 
 def test_invariant_points_swap_level1():
@@ -56,6 +57,24 @@ def test_invariant_points_requires_stable_lattice():
     d = validate(load_config("s3_ramified_q7_n2"))
     with pytest.raises(LatticeError):
         invariant_points(d, Sublattice.from_columns(2, [[1, 1], [0, 2]]), 1)
+
+
+def test_a_call_that_raises_raises_again():
+    # nothing is kept from a call that raises; the level is checked before
+    # any lattice work, so level 0 on an unstable lattice is a LevelError
+    d = validate(load_config("swap_q3_n2"))
+    unstable = Sublattice.from_columns(2, [[1, 0]])
+    for _ in range(2):
+        with pytest.raises(LatticeError, match="not stable"):
+            invariant_points(d, unstable, 1)
+        with pytest.raises(LatticeError, match="not stable"):
+            iota_image(d, unstable, 2)
+        with pytest.raises(LevelError):
+            invariant_points(d, unstable, 0)
+        with pytest.raises(LevelError):
+            iota_image(d, y_sharp(d), 0)
+    assert invariant_points(d, y_sharp(d), 1) == \
+        invariant_points(validate(load_config("swap_q3_n2")), y_sharp(d), 1)
 
 
 def test_iota_image_examples():
@@ -380,3 +399,36 @@ def test_packet_group_works_modulo_the_n_primary_part(monkeypatch, bundled_confi
         _, trace = packet_group(validate(bundled_configs[name]))
         assert len(trace) == 3
         assert calls == want, name
+
+
+# the entry points that read the datum's level-free data, each on the
+# lattices it is given fresh
+ENTRY_POINTS = {
+    "invariant_points": lambda d: [invariant_points(d, sub, 1) for sub in _lattices(d)],
+    "iota_image": lambda d: [iota_image(d, sub, 2) for sub in _lattices(d)],
+    "packet_group_level": lambda d: packet_group_level(d, 1),
+    "packet_group": packet_group,
+    "radical_of_induced_form": lambda d: radical_of_induced_form(d, y_sharp(d), y_sharp(d)),
+    "residue_sharp_sequence": lambda d: residue_sharp_sequence(d, d.gamma_exponent),
+}
+
+
+def _lattices(d):
+    return Sublattice.full(d.rank), y_sharp(d), y_gamma_sharp(d)
+
+
+def test_entry_points_do_not_depend_on_call_order(bundled_configs):
+    # each entry point gives on a fresh datum what it gives after the other
+    # five ran on the same datum, in forward and in reverse order
+    rng = random.Random(11)
+    configs = list(bundled_configs.values()) + [RAMIFIED_CYCLE3]
+    configs += [random_unramified_config(rng) for _ in range(40)]
+    for cfg in configs:
+        fresh = {name: f(validate(cfg)) for name, f in ENTRY_POINTS.items()}
+        for name, f in ENTRY_POINTS.items():
+            others = [g for other, g in ENTRY_POINTS.items() if other != name]
+            for order in (others, others[::-1]):
+                d = validate(cfg)
+                for g in order:
+                    g(d)
+                assert f(d) == fresh[name], (cfg, name)

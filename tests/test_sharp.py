@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -89,3 +90,18 @@ def test_radical_brute_cross_check():
             lat = y_sharp(d)
             gens = [lat.basis.col(j) for j in range(lat.rank)]
             assert subgroup_from_generators(d.n, d.rank, gens) == brute
+
+
+
+def test_replaced_datum_recomputes_its_sharp_lattices():
+    # the level-free data live on the datum, out of eq, hash and repr, and a
+    # dataclasses.replace copy starts without them
+    cfg = load_config("rot4_r2_q5_n4")
+    d = validate(cfg)
+    kept = y_sharp(d)
+    plain = validate(cfg)
+    assert (d, hash(d), repr(d)) == (plain, hash(plain), repr(plain))
+    copy, fresh = dataclasses.replace(d, n=2), validate(cfg | {"n": 2})
+    assert y_sharp(copy) == y_sharp(fresh) != kept
+    assert y_gamma_sharp(copy) == y_gamma_sharp(fresh)
+    assert y_sharp(d) is kept
