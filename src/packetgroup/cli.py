@@ -5,9 +5,10 @@ commutator | oracle-check.  Reports are JSON objects with sorted keys
 (or an equally deterministic text rendering), so identical inputs produce
 byte-identical output.  Each handler returns the payload whose digest the
 report carries and the report's sections; `main` adds the rest (command,
-input_digest, seed, status).  Exit codes: 0 success, 2 validation or
-configuration error, 3 stabilization failure, 4 internal assertion or
-oracle mismatch.
+input_digest, seed, status).  A datum command's payload is its config,
+loaded and validated once before its `_cmd_*` gets the datum.  Exit codes:
+0 success, 2 validation or configuration error, 3 stabilization failure,
+4 internal assertion or oracle mismatch.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from .datum import (DEFAULT_CLOSURE_CAP, ConfigError, DatumError, parse_matrix,
 from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice,
                      quotient_invariants)
 from .residue import (ContainmentViolation, LevelError, NTorsionViolation,
-                      NotStabilized, StabilizationPolicy, check_level,
-                      invariant_points, iota_image, level_modulus, packet_group,
-                      packet_group_level)
+                      NotStabilized, StabilizationPolicy, invariant_points,
+                      iota_image, level_modulus, packet_group, packet_group_level)
 from .sharp import fixed_lattice, radical_of_induced_form, y_gamma_sharp, y_sharp
 from .symbols import SymbolError, TameField, commutator, hilbert
 
@@ -104,10 +104,8 @@ def _render(report: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_validate(args) -> tuple[Any, dict]:
-    config = _load_config(args.config)
-    d = validate(config, closure_cap=args.cap)
-    return config, {"results": {
+def _cmd_validate(args, d) -> dict:
+    return {"results": {
         "rank": d.rank,
         "q": d.q,
         "n": d.n,
@@ -119,13 +117,11 @@ def _cmd_validate(args) -> tuple[Any, dict]:
     }}
 
 
-def _cmd_sharp(args) -> tuple[Any, dict]:
-    config = _load_config(args.config)
-    d = validate(config, closure_cap=args.cap)
+def _cmd_sharp(args, d) -> dict:
     fixed = fixed_lattice(d)
     sharp_full = y_sharp(d)
     sharp_gamma = y_gamma_sharp(d)
-    return config, {"results": {
+    return {"results": {
         "fixed_lattice": _lattice_rows(fixed),
         "sharp": _lattice_rows(sharp_full),
         "gamma_sharp": _lattice_rows(sharp_gamma),
@@ -136,14 +132,12 @@ def _cmd_sharp(args) -> tuple[Any, dict]:
     }}
 
 
-def _cmd_packet_group(args) -> tuple[Any, dict]:
-    config = _load_config(args.config)
-    d = validate(config, closure_cap=args.cap)
+def _cmd_packet_group(args, d) -> dict:
     policy = StabilizationPolicy(start_level=args.level,
                                  stable_repeats=args.stable_repeats,
                                  max_level=args.max_level)
     group, trace = packet_group(d, policy)
-    return config, {
+    return {
         "results": {"invariant_factors": _group_factors(group)},
         "diagnostics": {
             "levels_used": [m for m, _ in trace],
@@ -246,14 +240,12 @@ def _cmd_commutator(args) -> tuple[Any, dict]:
     return payload, {"results": {"value": value}}
 
 
-def _cmd_oracle_check(args) -> tuple[Any, dict]:
-    config = _load_config(args.config)
-    d = validate(config, closure_cap=args.cap)
+def _cmd_oracle_check(args, d) -> dict:
     cap = args.cap if args.oracle_cap is None else args.oracle_cap
     if cap < 1:
         raise ConfigError(f"oracle_cap must be >= 1, got {cap}")
     m = args.level if args.level is not None else 1
-    check_level(d.q, m)
+    n_mod = level_modulus(d.q, m)
     checks: list[dict] = []
 
     def record(name: str, agree: bool, main_repr: Any, oracle_repr: Any) -> None:
@@ -263,10 +255,9 @@ def _cmd_oracle_check(args) -> tuple[Any, dict]:
     lattices = {"full": Sublattice.full(d.rank),
                 "sharp": y_sharp(d), "gamma_sharp": y_gamma_sharp(d)}
     # the oracle goes first: its cap check refuses an over-cap level before
-    # the main path runs or N is formed here
+    # the main path runs
     brute_points = {name: oracle.brute_invariant_points(d, sub, m, cap=cap)
                     for name, sub in lattices.items()}
-    n_mod = level_modulus(d.q, m)
     brute_imgs = {}
     for name in sorted(lattices):
         sub, brute = lattices[name], brute_points[name]
@@ -298,7 +289,7 @@ def _cmd_oracle_check(args) -> tuple[Any, dict]:
     sections = {"results": {"level": m, "checks": checks, "all_agree": all_agree}}
     if not all_agree:
         sections["status"] = "mismatch"
-    return config, sections
+    return sections
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -318,7 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="group-closure cap")
         for flag, kw in extra.items():
             p.add_argument(flag, **kw)
-        p.set_defaults(handler=fn)
+
+        def handler(args) -> tuple[Any, dict]:
+            config = _load_config(args.config)
+            return config, fn(args, validate(config, closure_cap=args.cap))
+
+        p.set_defaults(handler=handler)
         return p
 
     add_config_command("validate", _cmd_validate)

@@ -39,8 +39,6 @@ class NotInH0(ValueError):
 
 
 def _reduce_mat_mod(m: Mat, modulus: int) -> Mat:
-    if modulus <= 0:
-        raise ModuleError("modulus must be positive")
     return Mat(m.rows, m.cols, tuple(x % modulus for x in m.entries))
 
 
@@ -92,9 +90,12 @@ class _FiniteModule:
         for name in self.ACTIONS:
             mat = _reduce_mat_mod(getattr(self, name), self.exponent)
             object.__setattr__(self, name, mat)
-            if not _columns_in(mat @ r.basis, r):
+            # the preimage of R holds R iff mat preserves R, and is R
+            # itself iff mat is also injective, so invertible, on Z^k/R
+            pre = preimage_lattice(mat, r, modulus=self.exponent)
+            if not pre.contains(r):
                 raise ModuleError(f"{name} does not preserve the relation lattice")
-            if preimage_lattice(mat, r, modulus=self.exponent) != r:
+            if pre != r:
                 raise ModuleError(f"{name} is not invertible on the module")
 
     def _check_scalars(self) -> None:
@@ -448,15 +449,11 @@ class CountingReport:
 
 def counting_checks(m: TameModule, n: int) -> CountingReport:
     """Verify #H0*#H2 = #H1, #H2(A) = #H0(A'), and the unramified H1 split."""
-    if n < 1:
-        raise ModuleError("n must be >= 1")
-    if n % m.exponent:
-        raise ModuleError("exponent of the module must divide n")
+    dual = dual_module(m, n)  # refuses n < 1 and an n the exponent does not divide
     if gcd(n, m.q) != 1:
         raise ModuleError("n must be prime to q")
     if gcd(n, m.e) != 1:
         raise ModuleError("n must be prime to e")
-    dual = dual_module(m, n)
     ta = tame_h(m)
     td = tame_h(dual)
     return CountingReport(

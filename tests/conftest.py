@@ -5,10 +5,11 @@ from pathlib import Path
 
 import pytest
 
-from packetgroup.datum import CoverDatum, conjugated_config, validate
+from packetgroup.datum import (CoverDatum, RamificationGcdError, conjugated_config,
+                               validate)
 from packetgroup.linalg import Mat
-from packetgroup.randomgen import (invariant_q_upper, random_signed_permutation,
-                                   random_unimodular)
+from packetgroup.randomgen import (invariant_q_upper, random_config,
+                                   random_signed_permutation, random_unimodular)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = REPO_ROOT / "configs"
@@ -88,6 +89,45 @@ def permutation_group_config(family: str, r: int) -> dict:
         gens.append(perm(list(range(r)), [-1] + [1] * (r - 1)))
     return {"rank": r, "inertia_gens": gens, "frobenius": cycle,
             "q": 23, "n": 11, "Q_upper": perm(list(range(r)))}
+
+
+def direct_sum(configs):
+    """The block-diagonal sum of data with one (q, n): each part's inertia
+    generators act on its block, and Frobenius and the form are blockwise."""
+    r = sum(c["rank"] for c in configs)
+    offsets = [sum(c["rank"] for c in configs[:i]) for i in range(len(configs))]
+
+    def blocks(mats):
+        rows = []
+        for off, a in zip(offsets, mats):
+            rows += [[0] * off + list(row) + [0] * (r - off - len(row)) for row in a]
+        return rows
+
+    def ident(k):
+        return [[int(i == j) for j in range(k)] for i in range(k)]
+
+    gens = [blocks([g if j == i else ident(c["rank"]) for j, c in enumerate(configs)])
+            for i, part in enumerate(configs) for g in part["inertia_gens"]]
+    return {"rank": r, "inertia_gens": gens,
+            "frobenius": blocks([c["frobenius"] for c in configs]),
+            "q": configs[0]["q"], "n": configs[0]["n"],
+            "Q_upper": blocks([c["Q_upper"] for c in configs])}
+
+
+def ramified_sums(rng, count):
+    """RAMIFIED_CYCLE3 (S = Z/2) plus random_config draws moved to its q = 5
+    and n = 4, under a random base change; draws with gcd(4, e) > 1 are
+    skipped, since validate refuses them."""
+    sums = []
+    while len(sums) < count:
+        part = random_config(rng, ranks=(1, 2)) | {"q": 5, "n": 4}
+        total = direct_sum([RAMIFIED_CYCLE3, part])
+        try:
+            sums.append(validate(conjugated_config(
+                total, random_unimodular(rng, total["rank"]))))
+        except RamificationGcdError:
+            continue
+    return sums
 
 
 @pytest.fixture(scope="session")

@@ -35,14 +35,43 @@ def test_h0_h1_examples():
 def test_module_validation():
     with pytest.raises(ModuleError):
         FrobModule(Sublattice.from_columns(1, []), Mat.zeros(1, 1), 2)
-    with pytest.raises(ModuleError):
-        FrobModule(Sublattice.scaled(1, 4), Mat.from_rows([[2]]), 3)  # not invertible
+    with pytest.raises(ModuleError, match="^phi is not invertible on the module$"):
+        FrobModule(Sublattice.scaled(1, 4), Mat.from_rows([[2]]), 3)
     with pytest.raises(ModuleError):
         FrobModule(Sublattice.scaled(1, 6), Mat.identity(1), 3)  # order not prime to q
     with pytest.raises(NotPrimePower):
         cyclic(5, 2, 6)
     m = cyclic(5, 7, 2)
     assert m.phi == Mat.from_rows([[2]])  # stored reduced mod the exponent
+
+
+# Z/2 x Z/4, whose relation lattice the coordinate swap does not preserve
+TWO_FOUR = Sublattice.from_columns(2, [[2, 0], [0, 4]])
+SWAP = Mat.from_rows([[0, 1], [1, 0]])
+KILL_SECOND = Mat.from_rows([[1, 0], [0, 5]])  # preserves 5 Z^2, not invertible
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FrobModule(TWO_FOUR, SWAP, 3), "phi does not preserve the relation lattice"),
+    (lambda: FrobModule(Sublattice.scaled(2, 5), KILL_SECOND, 3),
+     "phi is not invertible on the module"),
+    (lambda: TameModule(TWO_FOUR, Mat.identity(2), SWAP, 1, 3),
+     "phi does not preserve the relation lattice"),
+    (lambda: TameModule(Sublattice.scaled(2, 5), Mat.identity(2), KILL_SECOND, 1, 3),
+     "phi is not invertible on the module"),
+    # sigma is checked first, so its fault is the one reported
+    (lambda: TameModule(TWO_FOUR, SWAP, SWAP, 2, 3),
+     "sigma does not preserve the relation lattice"),
+    (lambda: TameModule(Sublattice.scaled(2, 5), KILL_SECOND, Mat.zeros(2, 2), 2, 3),
+     "sigma is not invertible on the module"),
+    (lambda: TameModule(TWO_FOUR, Mat.from_rows([[1, 0], [0, 2]]), SWAP, 2, 3),
+     "sigma is not invertible on the module"),
+], ids=["frob-preserve", "frob-invert", "tame-phi-preserve",
+        "tame-phi-invert", "tame-sigma-first-preserve", "tame-sigma-first-invert",
+        "tame-sigma-invert-before-phi-preserve"])
+def test_module_action_errors(build, message):
+    with pytest.raises(ModuleError, match=f"^{message}$"):
+        build()
 
 
 def test_tate_twist_examples():
@@ -270,8 +299,22 @@ def test_counting_checks_examples():
     trivial = TameModule(Sublattice.scaled(1, 1), Mat.identity(1), Mat.identity(1), 1, 3)
     rep = counting_checks(trivial, 2)
     assert rep.ok and rep.sizes_module == (1, 1, 1)
-    with pytest.raises(ModuleError):
-        counting_checks(m, 6)  # 6 not prime to e = 2
+    with pytest.raises(ModuleError, match="^n must be prime to e$"):
+        counting_checks(m, 6)
+
+
+@pytest.mark.parametrize("n, message", [
+    (4, "exponent of the module must divide n"),  # also shares 2 with e
+    (21, "n must be prime to q"),
+    (42, "n must be prime to q"),  # also shares 2 with e
+    (-2, "n must be >= 1"),  # also misses the exponent and shares 2 with e
+], ids=["exponent", "q", "q-and-e", "three-rules"])
+def test_counting_checks_refusals(n, message):
+    # Z/3 with q = 7 and e = 2, as in the examples above; the first rule
+    # broken is the one reported (n = 0 and -3: test_dual_module_refuses_n_below_1)
+    m = TameModule(Sublattice.scaled(1, 3), Mat.identity(1), Mat.from_rows([[7]]), 2, 7)
+    with pytest.raises(ModuleError, match=f"^{message}$"):
+        counting_checks(m, n)
 
 
 def test_counting_random_suite():

@@ -15,7 +15,8 @@ from packetgroup.randomgen import random_config, random_unimodular, random_valid
 from packetgroup.residue import iota_image, packet_group, packet_group_level
 from packetgroup.sharp import y_gamma_sharp, y_sharp
 
-from conftest import load_config, permutation_group_config, random_unramified_config
+from conftest import (load_config, permutation_group_config, ramified_sums,
+                      random_unramified_config)
 
 
 def test_residue_sequence_exact_at_every_small_level():
@@ -215,3 +216,19 @@ def test_random_trace_levels_against_the_oracle():
             checked.append(traced.is_trivial)
     # 209 of the 240 trace levels are in reach, 20 of them nontrivial
     assert (len(checked), checked.count(False)) == (209, 20)
+
+
+def test_ramified_sum_trace_levels_against_the_oracle():
+    # ramified data of rank 4 and 5 whose S contains RAMIFIED_CYCLE3's Z/2:
+    # every trace level within reach of enumeration, checked as above
+    checked = []
+    for d in ramified_sums(random.Random(56), 12):
+        lattices = (y_gamma_sharp(d), y_sharp(d))
+        for m, traced in packet_group(d)[1]:
+            modulus = n_primary_part(d.q ** m - 1, d.n)
+            if modulus ** d.rank > RANDOM_TRACE_SIZE:
+                continue
+            assert brute_level_group(d, *lattices, modulus) == traced, (d, m)
+            checked.append(traced.is_trivial)
+    # 21 of the 36 trace levels are in reach, all of them nontrivial
+    assert (len(checked), checked.count(False)) == (21, 21)

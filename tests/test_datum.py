@@ -13,7 +13,8 @@ from packetgroup.datum import (ConfigError, DeterminantError, FormNotInvariant,
                                matrix_inverse_unimodular, prime_power_decomposition,
                                validate)
 from packetgroup.linalg import Mat
-from packetgroup.randomgen import random_config, random_unimodular
+from packetgroup.randomgen import (random_config, random_signed_permutation,
+                                   random_unimodular)
 
 from conftest import (RAMIFIED_CYCLE3, gcd_violating_datum, load_config,
                       permutation_group_config)
@@ -116,13 +117,32 @@ def test_closure_cap_below_1_rejected(cap):
 def test_form_not_invariant():
     cfg = {"rank": 2, "inertia_gens": [], "frobenius": [[0, 1], [1, 0]],
            "q": 3, "n": 2, "Q_upper": [[1, 0], [0, 0]]}
-    with pytest.raises(FormNotInvariant):
+    with pytest.raises(FormNotInvariant,
+                       match="^bilinear form not invariant under frobenius$"):
         validate(cfg)
-    # invariant bilinear form but quadratic diagonal differs
+    # the swap changes the diagonal of the quadratic form, and with it
+    # the diagonal of B = Q + Q^T: the bilinear check already refuses it
     cfg = {"rank": 2, "inertia_gens": [], "frobenius": [[0, 1], [1, 0]],
            "q": 3, "n": 2, "Q_upper": [[1, 2], [0, -1]]}
-    with pytest.raises(FormNotInvariant):
+    with pytest.raises(FormNotInvariant,
+                       match="^bilinear form not invariant under frobenius$"):
         validate(cfg)
+
+
+@given(st.integers(1, 4), st.integers(0, 2 ** 32), st.booleans())
+@settings(deadline=None)
+def test_invariant_bilinear_form_fixes_the_quadratic_diagonal(r, seed, signed):
+    # (g^T B g)_ii = 2 (g^T Q g)_ii and B_ii = 2 Q_ii for B = Q + Q^T, so
+    # over Z an invariant B forces the quadratic form's diagonal to agree
+    rng = random.Random(seed)
+    q_upper = Mat.from_rows([[rng.randint(-3, 3) if j >= i else 0 for j in range(r)]
+                             for i in range(r)], cols=r)
+    g = random_signed_permutation(rng, r) if signed else random_unimodular(rng, r)
+    b = q_upper + q_upper.transpose()
+    twisted = g.transpose() @ q_upper @ g
+    assert all((g.transpose() @ b @ g)[i, i] == 2 * twisted[i, i] for i in range(r))
+    if g.transpose() @ b @ g == b:
+        assert all(twisted[i, i] == q_upper[i, i] for i in range(r))
 
 
 def test_inertia_not_normalized():

@@ -5,18 +5,18 @@ import pytest
 
 from packetgroup import residue
 from packetgroup.cohomology import residue_sharp_sequence
-from packetgroup.datum import RamificationGcdError, conjugated_config, validate
+from packetgroup.datum import conjugated_config, validate
 from packetgroup.linalg import LatticeError, Mat, Sublattice, quotient_invariants
 from packetgroup.oracle import n_primary_part
-from packetgroup.randomgen import (invariant_q_upper, random_config, random_unimodular,
-                                   random_valid_datum)
+from packetgroup.randomgen import invariant_q_upper, random_unimodular, random_valid_datum
 from packetgroup.residue import (LevelError, LevelGroup, NotStabilized,
                                  StabilizationPolicy, invariant_points, iota_image,
                                  n_primary_modulus, packet_group, packet_group_level)
 from packetgroup.sharp import radical_of_induced_form, y_gamma_sharp, y_sharp
 
 from conftest import (BUNDLED_EXPECTED_S, RAMIFIED_CYCLE3, RAMIFIED_R1_LEVEL_S,
-                      SWAP_LEVEL_S, load_config, random_unramified_config)
+                      SWAP_LEVEL_S, direct_sum, load_config, ramified_sums,
+                      random_unramified_config)
 
 
 def test_invariant_points_swap_level1():
@@ -250,29 +250,6 @@ def test_rank_24_cycle_budget():
         assert group.invariant_factors == want
 
 
-def _direct_sum(configs):
-    """The block-diagonal sum of data with one (q, n): each part's inertia
-    generators act on its block, and Frobenius and the form are blockwise."""
-    r = sum(c["rank"] for c in configs)
-    offsets = [sum(c["rank"] for c in configs[:i]) for i in range(len(configs))]
-
-    def blocks(mats):
-        rows = []
-        for off, a in zip(offsets, mats):
-            rows += [[0] * off + list(row) + [0] * (r - off - len(row)) for row in a]
-        return rows
-
-    def ident(k):
-        return [[int(i == j) for j in range(k)] for i in range(k)]
-
-    gens = [blocks([g if j == i else ident(c["rank"]) for j, c in enumerate(configs)])
-            for i, part in enumerate(configs) for g in part["inertia_gens"]]
-    return {"rank": r, "inertia_gens": gens,
-            "frobenius": blocks([c["frobenius"] for c in configs]),
-            "q": configs[0]["q"], "n": configs[0]["n"],
-            "Q_upper": blocks([c["Q_upper"] for c in configs])}
-
-
 def _elementary_divisors(factors):
     """The prime powers of a finite abelian group, sorted: a product of
     groups has the union of its factors' prime powers."""
@@ -309,7 +286,7 @@ def test_direct_sum_splits_the_packet_group(names):
     # the same linalg as the main path, so this is a metamorphic check, not
     # an independent one; it reaches ranks (to 32) that the oracle cannot.
     parts = [load_config(name) for name in names]
-    total = _direct_sum(parts)
+    total = direct_sum(parts)
     r = total["rank"]
     rng = random.Random(r)
     d = validate(conjugated_config(total, random_unimodular(rng, r, ops=3 * r)))
@@ -338,22 +315,6 @@ def test_n_primary_modulus_matches_repeated_division():
     assert cases > 10 ** 4
 
 
-def _ramified_sums(rng, count):
-    """RAMIFIED_CYCLE3 (S = Z/2) plus random_config draws moved to its q = 5
-    and n = 4, under a random base change; draws with gcd(4, e) > 1 are
-    skipped, since validate refuses them."""
-    sums = []
-    while len(sums) < count:
-        part = random_config(rng, ranks=(1, 2)) | {"q": 5, "n": 4}
-        total = _direct_sum([RAMIFIED_CYCLE3, part])
-        try:
-            sums.append(validate(conjugated_config(
-                total, random_unimodular(rng, total["rank"]))))
-        except RamificationGcdError:
-            continue
-    return sums
-
-
 def test_n_primary_levels_match_the_full_modulus(bundled_configs):
     # the loop takes a level modulo the n-primary part M of N = q**m - 1;
     # the one-shot images are taken modulo N itself, so their quotient
@@ -362,7 +323,7 @@ def test_n_primary_levels_match_the_full_modulus(bundled_configs):
     data = [validate(cfg) for cfg in bundled_configs.values()]
     data.append(validate(RAMIFIED_CYCLE3))
     data += [random_valid_datum(rng, ranks=(1, 2, 3, 4)) for _ in range(300)]
-    data += _ramified_sums(random.Random(55), 12)
+    data += ramified_sums(random.Random(55), 12)
     nontrivial = 0
     for d in data:
         big, small = y_gamma_sharp(d), y_sharp(d)
