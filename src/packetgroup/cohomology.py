@@ -14,14 +14,13 @@ sigma^q, and its cohomology is assembled from the sigma-invariants
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 from typing import ClassVar, Sequence
 
 from .datum import CoverDatum, prime_power_decomposition
-from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, fixed_point_conditions,
-                     preimage_lattice, preimage_mod, quotient_invariants,
-                     restrict_endomorphism, solve_modulo)
+from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, cached_attribute,
+                     fixed_point_conditions, preimage_lattice, preimage_mod,
+                     quotient_invariants, restrict_endomorphism, solve_modulo)
 from .residue import _restrictions, level_modulus
 from .sharp import y_sharp
 
@@ -56,7 +55,7 @@ def _mat_pow_mod(a: Mat, exponent: int, modulus: int) -> Mat:
 
 
 def _columns_in(m: Mat, lattice: Sublattice) -> bool:
-    return all(lattice.contains_vector(m.col(j)) for j in range(m.cols))
+    return all(map(lattice.contains_vector, m._columns))
 
 
 @dataclass(frozen=True)
@@ -109,20 +108,20 @@ class _FiniteModule:
     def order(self) -> int:
         return self.relations.index_in_ambient()
 
-    @cached_property
+    @cached_attribute
     def exponent(self) -> int:
         return self.group().exponent
 
     def group(self) -> FinAbGroup:
         return quotient_invariants(Sublattice.full(self.ambient_rank), self.relations)
 
-    @cached_property
+    @cached_attribute
     def phi_fixed(self) -> Sublattice:
         """The vectors that phi - 1 sends into R; over R they give ker(phi - 1)."""
         return preimage_lattice(self.phi - Mat.identity(self.ambient_rank), self.relations,
                                 modulus=self.exponent)
 
-    @cached_property
+    @cached_attribute
     def h1_relations(self) -> Sublattice:
         """The relations of coker(phi - 1): R joined with the image of phi - 1."""
         return self.relations.join(self.phi - Mat.identity(self.ambient_rank),
@@ -174,13 +173,13 @@ class ShortExactSequence:
     inject: Mat
     project: Mat
 
-    @cached_property
+    @cached_attribute
     def projection_kernel(self) -> Sublattice:
         """The preimage of the right term's relations under the projection."""
         return preimage_lattice(self.project, self.right.relations,
                                 modulus=self.right.exponent)
 
-    @cached_property
+    @cached_attribute
     def failures(self) -> tuple[str, ...]:
         """The verdict of `exactness_failures`."""
         a, b, c = self.left, self.mid, self.right

@@ -12,12 +12,11 @@ checks every structural hypothesis before any computation runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
-from .linalg import Mat, column_hnf
+from .linalg import Mat, cached_attribute, column_hnf
 
 DEFAULT_CLOSURE_CAP = 10 ** 6
 
@@ -148,20 +147,20 @@ class CoverDatum:
                                  rows=self.rank) for x in perms)
         return tuple(sorted(mats, key=lambda m: m.entries))
 
-    @cached_property
+    @cached_attribute
     def group_elements(self) -> tuple[Mat, ...]:
         return self._matrices(self.group_perms)
 
-    @cached_property
+    @cached_attribute
     def inertia_elements(self) -> tuple[Mat, ...]:
         return self._matrices(self.inertia_perms)
 
-    @cached_property
+    @cached_attribute
     def _level_free(self) -> dict:
         """What `sharp` and `residue` derive from the datum alone: the fixed
         lattice, the sharp lattices keyed by their targets and, keyed by
         lattice, the generators' restrictions and the Smith data of the
-        twisted conditions.  Filled by `_once`; like every cached property
+        twisted conditions.  Filled by `_once`; like every cached attribute
         it is kept out of eq, hash and repr, and a `dataclasses.replace`
         copy starts empty."""
         return {}

@@ -14,7 +14,9 @@ so `kernel_lattice`, `preimage_mod` and `meet`), and its other columns
 solve m @ X - B in T (`solve_modulo`, so `solve_columns`).  A lattice
 known to contain D * Z^k is spanned modulo D (`modulus=D`: 0 for kernels,
 n for a congruence mod n, the exponent for a finite module), exact since
-each reduction moves a row by a vector of the lattice.  The Smith form
+each reduction moves a row by a vector of the lattice; each D * e_c is
+met when column c is reached (Cohen, Alg. 2.4.8).  I_n and Z^n are built
+once per n and shared, as every value here is frozen.  The Smith form
 serves only where the Hermite form does not give the answer:
 `quotient_invariants` reads its diagonal, and `residue`'s level functions,
 through `congruence_lattice`, its V and diagonal, once per datum, pushed
@@ -26,10 +28,10 @@ scaled by N.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd, prod
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
 
@@ -63,12 +65,27 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return a, s0, t0
 
 
+class cached_attribute:
+    """functools.cached_property without its per-instance lock (Python 3.11):
+    the first read stores the value in the instance __dict__, where later
+    reads find it first; a compute that raises stores nothing."""
+
+    def __init__(self, func):
+        self.func, self.name, self.__doc__ = func, func.__name__, func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Mat:
     """Immutable integer matrix, row-major entries.
 
-    The columns are sliced out once per instance and kept; equality and
-    hashing still see only rows, cols and entries.
+    The rows and columns are sliced out once per instance and kept;
+    equality and hashing still see only rows, cols and entries.
     """
 
     rows: int
@@ -84,13 +101,14 @@ class Mat:
         if list(map(type, self.entries)).count(int) != len(self.entries):
             raise LatticeError("entries must be integers")
 
-    @cached_property
+    @cached_attribute
     def _columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(self.entries[j::self.cols] for j in range(self.cols))
 
-    def _row_tuples(self) -> list[tuple[int, ...]]:
+    @cached_attribute
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
         c = self.cols
-        return [self.entries[i * c:(i + 1) * c] for i in range(self.rows)]
+        return tuple(self.entries[i * c:(i + 1) * c] for i in range(self.rows))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "Mat":
@@ -119,7 +137,9 @@ class Mat:
         return cls(height, len(columns), tuple(chain.from_iterable(zip(*columns))))
 
     @classmethod
+    @lru_cache(maxsize=64)
     def identity(cls, n: int) -> "Mat":
+        """I_n, built once per n and shared: a Mat is frozen."""
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
     @classmethod
@@ -143,7 +163,7 @@ class Mat:
         return self._columns[j]
 
     def to_rows(self) -> list[list[int]]:
-        return [list(r) for r in self._row_tuples()]
+        return [list(r) for r in self._rows]
 
     def columns(self) -> list[tuple[int, ...]]:
         return list(self._columns)
@@ -156,12 +176,12 @@ class Mat:
             raise LatticeError("dimension mismatch in product")
         cols = other._columns
         return Mat(self.rows, other.cols,
-                   tuple([sum(map(mul, r, c)) for r in self._row_tuples() for c in cols]))
+                   tuple([sum(map(mul, r, c)) for r in self._rows for c in cols]))
 
     def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
         if len(vec) != self.cols:
             raise LatticeError("vector length mismatch")
-        return tuple([sum(map(mul, r, vec)) for r in self._row_tuples()])
+        return tuple([sum(map(mul, r, vec)) for r in self._rows])
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -170,7 +190,9 @@ class Mat:
                    tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return self + other.scale(-1)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise LatticeError("shape mismatch in sum")
+        return Mat(self.rows, self.cols, tuple(map(sub, self.entries, other.entries)))
 
     def scale(self, c: int) -> "Mat":
         return Mat(self.rows, self.cols, tuple(c * x for x in self.entries))
@@ -179,8 +201,7 @@ class Mat:
         if self.rows != other.rows:
             raise LatticeError("row mismatch in hstack")
         return Mat(self.rows, self.cols + other.cols,
-                   tuple(chain.from_iterable(map(tuple.__add__, self._row_tuples(),
-                                                 other._row_tuples()))))
+                   tuple(chain.from_iterable(map(tuple.__add__, self._rows, other._rows))))
 
     def vstack(self, other: "Mat") -> "Mat":
         if self.cols != other.cols:
@@ -221,7 +242,7 @@ class Mat:
         return sign * a[n - 1][n - 1]
 
     def __str__(self) -> str:
-        return "[" + "; ".join(" ".join(map(str, r)) for r in self._row_tuples()) + "]"
+        return "[" + "; ".join(" ".join(map(str, r)) for r in self._rows) + "]"
 
 
 def _row_hnf(rows: Iterable[Sequence[int]], width: int, modulus: int = 0) -> list[list[int]]:
@@ -229,29 +250,33 @@ def _row_hnf(rows: Iterable[Sequence[int]], width: int, modulus: int = 0) -> lis
 
     Output rows are nonzero, pivot columns strictly increase, pivots are
     positive and entries above each pivot lie in [0, pivot).  With a
-    modulus D >= 1 the rows D * e_c join the input, untouched until column
-    c is reached, and every row combination is reduced into [0, D) (HNF
-    modulo D: Cohen, GTM 138, Alg. 2.4.8; Domich, Kannan and Trotter
-    1987).  The reduction is exact.  It leaves the entries at reached
-    columns as they are: they lie in [0, D) already, or are a pivot D on
-    the row D * e_c, which no step changes.  So a row moves only by
-    multiples of D * e_j for unreached j, whose rows are still there, the
-    span stays the same and no entry outgrows D.
+    modulus D >= 1 every row combination is reduced into [0, D), and the
+    row D * e_c is met only when column c is reached (HNF modulo D: Cohen,
+    GTM 138, Alg. 2.4.8; Domich, Kannan and Trotter 1987).  With the
+    column's pivot entry a and (g, s, t) = xgcd(a, D), the unimodular pair
+    map on (pivot row, D * e_c) leaves s * row and -(D/g) * row modulo D;
+    with no pivot entry, D * e_c is the pivot row.  So exactly width rows
+    come back.  The reduction is exact: it leaves the entries at reached
+    columns as they are, so a row moves only by multiples of D * e_j for
+    unreached j, which are still to be met, the span stays the same and
+    no entry outgrows D.
     """
     if modulus < 0:
         raise LatticeError("modulus must be >= 0")
     if modulus:
         reduced = ([x % modulus for x in row] for row in rows)
         work = [row for row in reduced if any(row)]
-        work += ([modulus if i == c else 0 for i in range(width)] for c in range(width))
     else:
         work = [list(row) for row in rows if any(row)]
     r = 0
     for c in range(width):
-        if r == len(work):
+        if r == len(work) and not modulus:
             break
         piv = next((i for i in range(r, len(work)) if work[i][c]), None)
         if piv is None:
+            if modulus:
+                work.insert(r, [modulus if i == c else 0 for i in range(width)])
+                r += 1
             continue
         work[r], work[piv] = work[piv], work[r]
         for i in range(r + 1, len(work)):
@@ -273,7 +298,13 @@ def _row_hnf(rows: Iterable[Sequence[int]], width: int, modulus: int = 0) -> lis
                 row_r = [x % modulus for x in row_r]
                 row_i = [x % modulus for x in row_i]
             work[r], work[i] = row_r, row_i
-        if work[r][c] < 0:
+        if modulus:
+            g, s, _ = xgcd(work[r][c], modulus)
+            rest = [-(modulus // g) * x % modulus for x in work[r]]
+            work[r] = [s * x % modulus for x in work[r]]
+            if any(rest):
+                work.append(rest)
+        elif work[r][c] < 0:
             work[r] = [-x for x in work[r]]
         p = work[r][c]
         for i in range(r):
@@ -385,7 +416,8 @@ def smith(m: Mat) -> SmithDecomposition:
             a[i] = [-x for x in a[i]]
             u[i] = [-x for x in u[i]]
     d = tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i])
-    dec = SmithDecomposition(d, Mat.from_rows(u, cols=nr), Mat.from_rows(v, cols=nc))
+    dec = SmithDecomposition(d, Mat(nr, nr, tuple(chain.from_iterable(u))),
+                             Mat(nc, nc, tuple(chain.from_iterable(v))))
     if __debug__:
         want = [0] * (nr * nc)
         for i, x in enumerate(d):
@@ -404,7 +436,7 @@ def _hermite_block(m: Mat, target: "Sublattice", modulus: int) -> tuple[list, li
     if m.rows != target.ambient_rank:
         raise AmbientMismatch("matrix height differs from target ambient rank")
     top, k = m.rows, m.cols
-    block = [c + tuple(int(i == j) for i in range(k)) for j, c in enumerate(m._columns)]
+    block = list(map(tuple.__add__, m._columns, Mat.identity(k)._columns))
     block += [c + (0,) * k for c in target.basis._columns]
     hnf = _row_hnf(block, top + k, modulus)
     return [c for c in hnf if any(c[:top])], [c[top:] for c in hnf if not any(c[:top])]
@@ -454,16 +486,16 @@ class Sublattice:
             raise LatticeError("more basis vectors than ambient rank")
         pivots = []
         for col in b._columns:
-            p = next((i for i, x in enumerate(col) if x), None)
-            if p is None:
+            x = next(filter(None, col), 0)
+            if not x:
                 raise LatticeError("zero basis column")
-            if col[p] < 0:
+            if x < 0:
                 raise LatticeError("negative pivot")
-            pivots.append(p)
+            pivots.append(col.index(x))
         if any(p2 <= p1 for p1, p2 in zip(pivots, pivots[1:])):
             raise LatticeError("pivot rows not strictly increasing")
         for j, p in enumerate(pivots):
-            row = b.row(p)
+            row = b._rows[p]
             others = row[:j] + row[j + 1:]
             if others and not (min(others) >= 0 and max(others) < row[j]):
                 raise LatticeError("pivot row not reduced")
@@ -489,7 +521,9 @@ class Sublattice:
         return cls(m.rows, column_hnf(m))
 
     @classmethod
+    @lru_cache(maxsize=64)
     def full(cls, ambient_rank: int) -> "Sublattice":
+        """Z^ambient_rank, built once per rank and shared: a Sublattice is frozen."""
         return cls(ambient_rank, Mat.identity(ambient_rank))
 
     @classmethod
@@ -523,7 +557,8 @@ class Sublattice:
                 return None
             coords.append(q)
             if q:
-                x = [xi - q * ci for xi, ci in zip(x, col)]
+                # a basis column is zero above its pivot
+                x[p:] = [xi - q * ci for xi, ci in zip(x[p:], col[p:])]
         if any(x):
             return None
         return tuple(coords)

@@ -374,3 +374,32 @@ def test_modular_block_agrees_with_the_exact_one():
             for x in product(range(e), repeat=a.cols):
                 assert pre.contains_vector(x) == rel.contains_vector(a.apply(x)), x
     assert outcomes == {True, False} and scanned > 200
+
+
+def test_cached_attributes_compute_once_and_keep_no_failure(monkeypatch):
+    import packetgroup.cohomology as cohomology_mod
+    real, calls = cohomology_mod.preimage_lattice, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        raise ModuleError("injected")
+
+    def module():
+        return FrobModule(Sublattice.from_columns(2, [[4, 0], [0, 2]]), Mat.identity(2), 3)
+
+    m, fresh = module(), module()
+    monkeypatch.setattr(cohomology_mod, "preimage_lattice", counted)
+    assert m.phi_fixed is m.phi_fixed and len(calls) == 1 and "phi_fixed" in vars(m)
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    # a compute that raises stores nothing and runs again on the next read
+    monkeypatch.setattr(cohomology_mod, "preimage_lattice", failing)
+    for _ in range(2):
+        with pytest.raises(ModuleError, match="injected"):
+            fresh.phi_fixed
+    assert len(calls) == 3 and "phi_fixed" not in vars(fresh)
+    monkeypatch.setattr(cohomology_mod, "preimage_lattice", real)
+    assert fresh.phi_fixed == m.phi_fixed

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from math import factorial, lcm
@@ -6,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from packetgroup.datum import (ConfigError, DeterminantError, FormNotInvariant,
-                               GroupNotFinite, InertiaNotNormalized, NotPrimePower,
-                               RamificationGcdError, RootsOfUnityError,
+from packetgroup.datum import (ConfigError, CoverDatum, DeterminantError,
+                               FormNotInvariant, GroupNotFinite, InertiaNotNormalized,
+                               NotPrimePower, RamificationGcdError, RootsOfUnityError,
                                conjugated_config, fold_upper,
                                matrix_inverse_unimodular, prime_power_decomposition,
                                validate)
@@ -346,3 +347,19 @@ def test_conjugated_config_refuses_wrong_size():
                                               "expected 2 x 2 for the datum's rank$"):
             conjugated_config(cfg, p)
 
+
+
+def test_group_elements_are_computed_once_per_datum(monkeypatch):
+    d = dataclasses.replace(validate(load_config("rot4_r2_q5_n4")))
+    real, calls = CoverDatum._matrices, []
+
+    def counted(self, perms):
+        calls.append(perms)
+        return real(self, perms)
+
+    monkeypatch.setattr(CoverDatum, "_matrices", counted)
+    assert d.group_elements is d.group_elements and len(calls) == 1
+    assert len(d.group_elements) == d.group_order == 4 and "group_elements" in vars(d)
+    copy = dataclasses.replace(d)
+    assert "group_elements" not in vars(copy) and copy == d and hash(copy) == hash(d)
+    assert copy.group_elements == d.group_elements and len(calls) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from packetgroup.linalg import (AmbientMismatch, FinAbGroup, InfiniteQuotient,
                                 LatticeError, Mat, NotASublattice, Sublattice,
-                                column_hnf, congruence_lattice, fixed_point_conditions,
+                                _row_hnf, column_hnf, congruence_lattice, fixed_point_conditions,
                                 kernel_lattice, preimage_lattice, preimage_mod,
                                 quotient_invariants, restrict_endomorphism, smith,
                                 solve_columns, solve_modulo)
@@ -203,10 +204,79 @@ def test_column_cache_is_invisible_to_equality():
     m, fresh = Mat.from_rows([[1, 2, 3], [4, 5, 6]]), Mat.from_rows([[1, 2, 3], [4, 5, 6]])
     assert m.columns() == [(1, 4), (2, 5), (3, 6)] and m.col(2) == (3, 6)
     assert "_columns" in vars(m) and "_columns" not in vars(fresh)
+    assert m.to_rows() == [[1, 2, 3], [4, 5, 6]] and m._rows == ((1, 2, 3), (4, 5, 6))
+    assert "_rows" in vars(m) and "_rows" not in vars(fresh)
     assert m == fresh and hash(m) == hash(fresh) and len({m, fresh}) == 1
+    assert repr(m) == repr(fresh) and str(m) == str(fresh) == "[1 2 3; 4 5 6]"
     lat, fresh_lat = (Sublattice.from_columns(2, [[2, 1], [0, 3]]) for _ in range(2))
     assert lat.contains_vector((2, 4)) and "_columns" in vars(lat.basis)
-    assert lat == fresh_lat and hash(lat) == hash(fresh_lat)
+    assert lat == fresh_lat and hash(lat) == hash(fresh_lat) and repr(lat) == repr(fresh_lat)
+
+
+def test_shared_constants_equal_fresh_values_and_stay_frozen():
+    for n in range(5):
+        ident = Mat(n, n, tuple(int(i == j) for i in range(n) for j in range(n)))
+        assert Mat.identity(n) == ident and Mat.identity(n) is Mat.identity(n)
+        assert Sublattice.full(n) == Sublattice(n, ident)
+        assert Sublattice.full(n) is Sublattice.full(n)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Mat.identity(n).entries = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Sublattice.full(n).basis = Mat.zeros(n, 0)
+        assert Mat.identity(n) == ident and Sublattice.full(n).basis == ident
+    with pytest.raises(LatticeError, match="negative dimensions"):
+        Mat.identity(-1)
+
+
+def check_lazy_meet(rows, w, d):
+    """The modular HNF is the exact HNF of the rows plus D * Z^w, with w rows."""
+    torsion = [[d * (i == j) for i in range(w)] for j in range(w)]
+    got = _row_hnf(rows, w, d)
+    assert got == _row_hnf([list(r) for r in rows] + torsion, w) and len(got) == w
+    return got
+
+
+moduli = st.one_of(st.just(1), st.sampled_from((2, 3, 5, 7, 101, 2 ** 61 - 1)),
+                   st.sampled_from((4, 6, 12, 36, 360, 2 ** 64)),
+                   st.integers(2 ** 199, 2 ** 200))
+
+
+def test_lazy_meet_edge_shapes():
+    assert check_lazy_meet([], 0, 1) == [] and check_lazy_meet([[], []], 0, 7) == []
+    assert check_lazy_meet([[3, -4], [5, 9]], 2, 1) == [[1, 0], [0, 1]]
+    assert check_lazy_meet([], 3, 6) == [[6 * (i == j) for j in range(3)] for i in range(3)]
+    # a pivot entry 2 against D = 4 leaves (0, 2) beside the pivot row; 3 against 4 becomes 1
+    assert check_lazy_meet([[2, 1]], 2, 4) == [[2, 1], [0, 2]]
+    assert check_lazy_meet([[3, 1]], 2, 4) == [[1, 3], [0, 4]]
+    # every row vanishes modulo D: D * Z^w comes back
+    assert check_lazy_meet([[12, -24], [36, 0]], 2, 12) == [[12, 0], [0, 12]]
+    # more rows than columns, negative entries, a pivot entry sharing a factor with D
+    check_lazy_meet([[-2, 3, 5], [4, -6, 1], [6, 9, -3], [-8, 0, 2], [10, 5, 5]], 3, 12)
+    big = 2 ** 200 + 235
+    check_lazy_meet([[-(2 ** 205) + 3, 7, 2 ** 201], [5, -(2 ** 210), 1]], 3, big)
+
+
+@given(st.integers(0, 5), moduli, st.data())
+@settings(deadline=None, max_examples=150)
+def test_lazy_meet_matches_the_exact_span_with_the_torsion(w, d, data):
+    # half the draws scale every row by D, so all of them vanish modulo D
+    scale = data.draw(st.sampled_from((1, d)))
+    element = st.one_of(entries, st.integers(-2 ** 210, 2 ** 210)).map(lambda x: scale * x)
+    rows = data.draw(st.lists(st.lists(element, min_size=w, max_size=w), max_size=w + 3))
+    check_lazy_meet(rows, w, d)
+
+
+@given(st.integers(1, 3), st.integers(0, 3), moduli, st.data())
+@settings(deadline=None, max_examples=100)
+def test_lazy_meet_on_hermite_blocks(r, k, d, data):
+    # [[m, T], [I, 0]] with T containing D * Z^r spans D * Z^(r+k) itself
+    m = data.draw(shaped(rows=r, cols=k))
+    extra = data.draw(st.lists(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=r, max_size=r),
+                               max_size=2))
+    target = Sublattice.scaled(r, d).join(Mat.from_columns(extra, rows=r))
+    block = [c + e for c, e in zip(m._columns, Mat.identity(k)._columns)]
+    block += [c + (0,) * k for c in target.basis._columns]
+    assert check_lazy_meet(block, r + k, d) == _row_hnf(block, r + k)
 
 
 @given(shaped(), st.data())
@@ -230,6 +300,29 @@ def test_mat_operations_match_naive_definitions(m, data):
     assert m.columns() == naive_cols == [m.col(j) for j in range(c)]
     assert [m.row(i) for i in range(r)] == [tuple(e[i * c:(i + 1) * c]) for i in range(r)]
     assert m.to_rows() == [list(e[i * c:(i + 1) * c]) for i in range(r)]
+    same = data.draw(shaped(rows=r, cols=c))
+    f = same.entries
+    assert (m + same).entries == tuple(x + y for x, y in zip(e, f))
+    assert (m - same).entries == tuple(x - y for x, y in zip(e, f))
+    assert ((m + same).rows, (m + same).cols) == ((m - same).rows, (m - same).cols) == (r, c)
+    factor = data.draw(st.integers(-5, 5))
+    assert m.scale(factor) == Mat(r, c, tuple(factor * x for x in e))
+    wide = data.draw(shaped(rows=r))
+    w = wide.cols
+    assert m.hstack(wide) == Mat(r, c + w, tuple(
+        x for i in range(r) for x in e[i * c:(i + 1) * c] + wide.entries[i * w:(i + 1) * w]))
+    tall = data.draw(shaped(cols=c))
+    assert m.vstack(tall) == Mat.from_rows(m.to_rows() + tall.to_rows(), cols=c)
+    wrong = data.draw(shaped().filter(lambda x: (x.rows, x.cols) != (r, c)))
+    for op in (Mat.__add__, Mat.__sub__):
+        with pytest.raises(LatticeError, match="shape mismatch in sum"):
+            op(m, wrong)
+    if wrong.rows != r:
+        with pytest.raises(LatticeError, match="row mismatch in hstack"):
+            m.hstack(wrong)
+    if wrong.cols != c:
+        with pytest.raises(LatticeError, match="column mismatch in vstack"):
+            m.vstack(wrong)
 
 
 @given(st.integers(0, 4), st.data())
