@@ -18,7 +18,7 @@ from math import gcd
 from typing import ClassVar, Sequence
 
 from .datum import CoverDatum, prime_power_decomposition
-from .linalg import (FinAbGroup, LatticeError, Mat, Sublattice, cached_attribute,
+from .linalg import (FinAbGroup, HermiteBlock, LatticeError, Mat, Sublattice, cached_attribute,
                      fixed_point_conditions, preimage_lattice, preimage_mod,
                      quotient_invariants, restrict_endomorphism, solve_modulo)
 from .residue import _restrictions, level_modulus
@@ -165,7 +165,8 @@ def tate_twist(m: FrobModule, k: int) -> FrobModule:
 
 @dataclass(frozen=True)
 class ShortExactSequence:
-    """Maps left -> mid -> right of FrobModules, given on presentations."""
+    """Maps left -> mid -> right of FrobModules, given on presentations;
+    each map's Hermite block against its target's relations is kept."""
 
     left: FrobModule
     mid: FrobModule
@@ -174,10 +175,17 @@ class ShortExactSequence:
     project: Mat
 
     @cached_attribute
+    def _inject_block(self) -> HermiteBlock:
+        return HermiteBlock(self.inject, self.mid.relations, self.mid.exponent)
+
+    @cached_attribute
+    def _project_block(self) -> HermiteBlock:
+        return HermiteBlock(self.project, self.right.relations, self.right.exponent)
+
+    @property
     def projection_kernel(self) -> Sublattice:
         """The preimage of the right term's relations under the projection."""
-        return preimage_lattice(self.project, self.right.relations,
-                                modulus=self.right.exponent)
+        return self._project_block.preimage
 
     @cached_attribute
     def failures(self) -> tuple[str, ...]:
@@ -199,7 +207,7 @@ class ShortExactSequence:
             problems.append("projection does not commute with phi")
         if problems:
             return tuple(problems)
-        if preimage_lattice(f, b.relations, modulus=b.exponent) != a.relations:
+        if self._inject_block.preimage != a.relations:
             problems.append("injection has a kernel")
         if b.relations.join(f, modulus=b.exponent) != self.projection_kernel:
             problems.append("image of the injection differs from the kernel of the projection")
@@ -231,18 +239,17 @@ def _connecting_values(ses: ShortExactSequence, classes: Mat) -> Mat:
     if problems:
         raise ExactnessError("; ".join(problems))
     a, b, c = ses.left, ses.mid, ses.right
-    f, g = ses.inject, ses.project
     if classes.rows != c.ambient_rank:
         raise NotInH0("vector length differs from the presentation rank")
     if not _columns_in((c.phi - Mat.identity(c.ambient_rank)) @ classes, c.relations):
         raise NotInH0("class is not Frobenius-fixed")
-    lifts = solve_modulo(g, classes, c.relations, modulus=c.exponent)
+    lifts = ses._project_block.solve(classes)
     if lifts is None:
         raise ExactnessError("vector cannot be lifted through the projection")
     delta = b.phi - Mat.identity(b.ambient_rank)
 
     def pull_back(lifts: Mat) -> Mat:
-        values = solve_modulo(f, delta @ lifts, b.relations, modulus=b.exponent)
+        values = ses._inject_block.solve(delta @ lifts)
         if values is None:
             raise ExactnessError("phi - 1 of a lift is not in the image of the injection")
         return values
@@ -326,10 +333,15 @@ def residue_sharp_sequence(d: CoverDatum, m: int) -> ShortExactSequence:
         raise LatticeError("projected points are not inertia fixed")
     proj = Mat.from_columns(coords, rows=fixed_c.rank)
 
-    # left term: kernel of the projection, with the restricted Frobenius
-    ker = preimage_lattice(proj, mod_c.relations, modulus=n_mod)
-    mod_a = _submodule(ker, mod_b.relations, big_mod, mod_b.phi, d.q, 1)
-    return ShortExactSequence(mod_a, mod_b, mod_c, inject=ker.basis, project=proj)
+    # left term: kernel of the projection, with the restricted Frobenius;
+    # both blocks are canonical under any valid modulus, so the sequence keeps them
+    project = HermiteBlock(proj, mod_c.relations, n_mod)
+    ker = project.preimage
+    inject = HermiteBlock(ker.basis, mod_b.relations, big_mod)
+    mod_a = FrobModule(inject.preimage, restrict_endomorphism(mod_b.phi, ker), d.q)
+    ses = ShortExactSequence(mod_a, mod_b, mod_c, inject=ker.basis, project=proj)
+    vars(ses).update(_inject_block=inject, _project_block=project)
+    return ses
 
 
 @dataclass(frozen=True)

@@ -8,17 +8,19 @@ reduced into [0, pivot); so lattice equality is plain value equality.  The
 HNF answers every question whose answer is a basis, and back substitution
 on its pivots gives coordinates (`coords_of`, `restrict_endomorphism`).
 Every preimage and solve reads one block, [[m, T], [I, 0]] for a target
-lattice T (`_hermite_block`; Cohen, GTM 138, section 2.4): the bottoms of
-its columns whose top vanished span {x : m @ x in T} (`preimage_lattice`,
-so `kernel_lattice`, `preimage_mod` and `meet`), and its other columns
-solve m @ X - B in T (`solve_modulo`, so `solve_columns`).  A lattice
+lattice T (`_hermite_block`; Cohen, GTM 138, section 2.4), kept in a
+`HermiteBlock`: the bottoms of its columns whose top vanished span
+{x : m @ x in T} (`preimage_lattice`, so `kernel_lattice`, `preimage_mod`
+and `meet`), and its other columns solve m @ X - B in T for every B
+(`solve_modulo`, so `solve_columns`).  A lattice
 known to contain D * Z^k is spanned modulo D (`modulus=D`: 0 for kernels,
 n for a congruence mod n, the exponent for a finite module), exact since
 each reduction moves a row by a vector of the lattice; each D * e_c is
 met when column c is reached (Cohen, Alg. 2.4.8).  I_n and Z^n are built
 once per n and shared, as every value here is frozen.  The Smith form
 serves only where the Hermite form does not give the answer:
-`quotient_invariants` reads its diagonal, and `residue`'s level functions,
+`quotient_invariants` reads its diagonal, when the coordinate matrix is not
+diagonal already, and `residue`'s level functions,
 through `congruence_lattice`, its V and diagonal, once per datum, pushed
 through any matrix and modulo N = q**m - 1 or its n-primary part; and
 conditions mod n and mod n*N are stacked into one mod n*N, the first
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from itertools import chain
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul, sub
 from typing import Iterable, Optional, Sequence
 
@@ -432,7 +434,7 @@ def _hermite_block(m: Mat, target: "Sublattice", modulus: int) -> tuple[list, li
     m's image plus T and whose bottoms W have m @ W - H in T; and the
     bottoms of its columns whose top vanished, a canonical basis of the
     preimage of T.  A modulus D >= 1 is valid when T contains D * Z^rows,
-    for then the block spans D * Z^(rows+cols) too."""
+    for then the block spans D * Z^(rows+cols) too; every valid D gives one form."""
     if m.rows != target.ambient_rank:
         raise AmbientMismatch("matrix height differs from target ambient rank")
     top, k = m.rows, m.cols
@@ -442,23 +444,49 @@ def _hermite_block(m: Mat, target: "Sublattice", modulus: int) -> tuple[list, li
     return [c for c in hnf if any(c[:top])], [c[top:] for c in hnf if not any(c[:top])]
 
 
+class HermiteBlock:
+    """One `_hermite_block` of m against a target lattice, eliminated once:
+    the preimage and every solve of m @ X - B in the target read it."""
+
+    def __init__(self, m: Mat, target: "Sublattice", modulus: int) -> None:
+        self.m, self.target = m, target
+        self._kept, self._free = _hermite_block(m, target, modulus)
+
+    @cached_attribute
+    def preimage(self) -> "Sublattice":
+        """{x : m @ x in target}."""
+        pre = Sublattice(self.m.cols, Mat.from_columns(self._free, rows=self.m.cols))
+        if __debug__:
+            assert all(self.target.contains_vector(self.m.apply(c)) for c in pre.basis._columns), \
+                "preimage basis vector escapes the target"
+        return pre
+
+    @cached_attribute
+    def _span(self) -> tuple["Sublattice", Mat]:
+        top = self.m.rows
+        span = Sublattice(top, Mat.from_columns([c[:top] for c in self._kept], rows=top))
+        return span, Mat.from_columns([c[top:] for c in self._kept], rows=self.m.cols)
+
+    def solve(self, b: Mat) -> Optional[Mat]:
+        """Integral X with every column of m @ X - b in the target, or None:
+        a column of b solves exactly when it has coordinates c in H, by W @ c."""
+        if self.m.rows != b.rows:
+            raise LatticeError("shape mismatch in solve")
+        span, w = self._span
+        coords = [span.coords_of(t) for t in b._columns]
+        if None in coords:
+            return None
+        x = w @ Mat.from_columns(coords, rows=span.rank)
+        if __debug__:
+            assert all(map(self.target.contains_vector, (self.m @ x - b)._columns)), \
+                "solve failed to verify"
+        return x
+
+
 def solve_modulo(m: Mat, target: Mat, lattice: "Sublattice", *, modulus: int = 0) -> Optional[Mat]:
-    """Integral X with every column of m @ X - target in `lattice`, or None:
-    a target column solves exactly when it has coordinates c in the tops H
-    of `_hermite_block`, by W @ c.  `modulus` is as there."""
-    if m.rows != target.rows:
-        raise LatticeError("shape mismatch in solve")
-    kept, _ = _hermite_block(m, lattice, modulus)
-    span = Sublattice(m.rows, Mat.from_columns([c[:m.rows] for c in kept], rows=m.rows))
-    coords = [span.coords_of(t) for t in target._columns]
-    if None in coords:
-        return None
-    w = Mat.from_columns([c[m.rows:] for c in kept], rows=m.cols)
-    x = w @ Mat.from_columns(coords, rows=span.rank)
-    if __debug__:
-        assert all(map(lattice.contains_vector, (m @ x - target)._columns)), \
-            "solve failed to verify"
-    return x
+    """Integral X with every column of m @ X - target in `lattice`, or None,
+    read off one `HermiteBlock`; `modulus` is as in `_hermite_block`."""
+    return HermiteBlock(m, lattice, modulus).solve(target)
 
 
 def solve_columns(b: Mat, target: Mat) -> Optional[Mat]:
@@ -638,13 +666,9 @@ def kernel_lattice(m: Mat) -> Sublattice:
 
 
 def preimage_lattice(m: Mat, target: Sublattice, *, modulus: int = 0) -> Sublattice:
-    """{x in Z^cols : m @ x in target}, read off `_hermite_block`; a modulus
-    D >= 1 is valid when the target contains D * Z^rows."""
-    pre = Sublattice(m.cols, Mat.from_columns(_hermite_block(m, target, modulus)[1], rows=m.cols))
-    if __debug__:
-        assert all(target.contains_vector(m.apply(c)) for c in pre.basis._columns), \
-            "preimage basis vector escapes the target"
-    return pre
+    """{x in Z^cols : m @ x in target}, read off one `HermiteBlock`; a
+    modulus D >= 1 is valid when the target contains D * Z^rows."""
+    return HermiteBlock(m, target, modulus).preimage
 
 
 def preimage_mod(m: Mat, n: int) -> Sublattice:
@@ -675,8 +699,18 @@ class FinAbGroup:
         return cls(())
 
     @classmethod
-    def from_diagonal(cls, diag: Iterable[int]) -> "FinAbGroup":
-        return cls(tuple(x for x in diag if x != 1))
+    def from_diagonal(cls, diag: Sequence[int]) -> "FinAbGroup":
+        """The group of Z^k / diag(d) Z^k for positive d: each pair folds to
+        (gcd, lcm), so d[i] ends as the gcd of d[i:] and divides the rest;
+        a chain passes through unchanged."""
+        d = list(diag)
+        for i in range(len(d)):
+            for j in range(i + 1, len(d)):
+                d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+        group = cls(tuple(x for x in d if x != 1))
+        if __debug__:
+            assert group.order == prod(diag), "diagonal fold changed the order"
+        return group
 
     @property
     def order(self) -> int:
@@ -708,8 +742,11 @@ def quotient_invariants(sup: Sublattice, sub: Sublattice) -> FinAbGroup:
         coords.append(list(c))
     if sub.rank != sup.rank:
         raise InfiniteQuotient("ranks differ, quotient is infinite")
-    x = Mat.from_columns(coords, rows=sup.rank)
-    return FinAbGroup.from_diagonal(smith(x).d)
+    # equal pivot rows make x lower triangular; a diagonal x needs no Smith form
+    diag = [c[j] for j, c in enumerate(coords)]
+    if all(x and c.count(0) == len(c) - 1 for x, c in zip(diag, coords)):
+        return FinAbGroup.from_diagonal(diag)
+    return FinAbGroup.from_diagonal(smith(Mat.from_columns(coords, rows=sup.rank)).d)
 
 
 def restrict_endomorphism(a: Mat, lattice: Sublattice) -> Mat:

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from collections import Counter
 from itertools import product
 from math import gcd
 
@@ -195,6 +197,48 @@ def test_residue_sequence_bundled():
             fixed = fixed.meet(cond)
         expect = quotient_invariants(fixed, sharp_lat).order
         assert ses.left.order == expect, name
+
+
+def sequence_data(bundled_configs):
+    return [(name, validate(config))
+            for name, config in [*bundled_configs.items(), ("cycle3", RAMIFIED_CYCLE3)]]
+
+
+def test_sequence_eliminates_each_block_once(monkeypatch, bundled_configs):
+    import packetgroup.linalg as linalg
+    real, calls = linalg._hermite_block, Counter()
+
+    # keyed by object, not value: on minus_one_r2_q5_n4 the right term's
+    # relations come from an (I, 24 Z^2) block equal to the projection's
+    def counted(m, target, modulus):
+        calls[id(m), id(target)] += 1
+        return real(m, target, modulus)
+
+    monkeypatch.setattr(linalg, "_hermite_block", counted)
+    for name, d in sequence_data(bundled_configs):
+        calls.clear()
+        ses = residue_sharp_sequence(d, d.gamma_exponent)
+        assert exactness_failures(ses) == (), name
+        assert image_of_connecting(ses) == h0_h1(ses.left)[1], name
+        assert calls[id(ses.inject), id(ses.mid.relations)] == 1, name
+        assert calls[id(ses.project), id(ses.right.relations)] == 1, name
+
+
+def test_sequence_copies_rebuild_the_same_blocks(bundled_configs):
+    for name, d in sequence_data(bundled_configs):
+        ses = residue_sharp_sequence(d, d.gamma_exponent)
+        assert {"_inject_block", "_project_block"} <= set(vars(ses)), name
+        hand = ShortExactSequence(ses.left, ses.mid, ses.right, ses.inject, ses.project)
+        copy = dataclasses.replace(ses)
+        classes = ses.right.phi_fixed.basis.columns()
+        for other in (hand, copy):
+            # a copy starts with no blocks and builds its own, modulo each exponent
+            assert other == ses and "_inject_block" not in vars(other), name
+            assert exactness_failures(other) == exactness_failures(ses) == (), name
+            assert other.projection_kernel == ses.projection_kernel, name
+            assert [connecting(other, c) for c in classes] == \
+                [connecting(ses, c) for c in classes], name
+            assert image_of_connecting(other) == image_of_connecting(ses), name
 
 
 def test_residue_sequence_gcd_violation_fails():

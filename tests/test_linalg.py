@@ -167,6 +167,70 @@ def test_finabgroup_validation():
         FinAbGroup((1, 2))
 
 
+def diagonal_mat(diag):
+    k = len(diag)
+    return Mat(k, k, tuple(diag[i] if i == j else 0 for i in range(k) for j in range(k)))
+
+
+def smith_reading(x):
+    """The invariant factors of Z^k / x Z^k as the Smith form gives them."""
+    return FinAbGroup(tuple(d for d in smith(x).d if d != 1))
+
+
+diagonal_entries = st.one_of(
+    st.just(1),
+    st.sampled_from((2, 3, 5, 6, 10, 15, 30)),  # repeated and coprime
+    st.builds(pow, st.sampled_from((2, 3, 5, 7)), st.integers(1, 12)),
+    st.integers(2, 10 ** 4),
+    st.integers(2 ** 199, 2 ** 200))
+
+
+@given(st.lists(diagonal_entries, max_size=5))
+@example([])
+@example([1, 1, 6])
+@example([4, 4, 2, 8])
+@example([2 ** 200, 3 ** 126, 6])
+@settings(deadline=None, max_examples=200)
+def test_diagonal_fold_matches_smith(diag):
+    want = smith_reading(diagonal_mat(diag))
+    assert FinAbGroup.from_diagonal(diag) == want
+    assert FinAbGroup.from_diagonal(smith(diagonal_mat(diag)).d) == want
+
+
+def nonsingular(k):
+    element = st.one_of(entries, st.integers(-2 ** 40, 2 ** 40))
+    square = st.lists(element, min_size=k * k, max_size=k * k).map(
+        lambda e: Mat(k, k, tuple(e)))
+    return square.filter(lambda m: m.det() != 0)
+
+
+@given(st.integers(1, 4), st.sampled_from(("equal", "scaled", "mixed")), st.data())
+@settings(deadline=None, max_examples=150)
+def test_quotient_invariants_matches_the_smith_reading(k, how, data):
+    sup = Sublattice.from_matrix(data.draw(nonsingular(k)))
+    if how == "equal":
+        sub = sup
+    elif how == "scaled":
+        sub = Sublattice.from_matrix(sup.basis.scale(data.draw(diagonal_entries)))
+    else:
+        sub = Sublattice.from_matrix(sup.basis @ data.draw(nonsingular(k)))
+    x = Mat.from_columns([sup.coords_of(c) for c in sub.basis.columns()], rows=k)
+    assert quotient_invariants(sup, sub) == smith_reading(x)
+
+
+def test_quotient_invariants_reads_a_diagonal_without_smith(monkeypatch):
+    import packetgroup.linalg as linalg
+    real, calls = linalg.smith, []
+    monkeypatch.setattr(linalg, "smith", lambda m: calls.append(m) or real(m))
+    sup = Sublattice.from_columns(2, [[3, 1], [0, 2]])
+    # sub == sup and sub == 6 * sup give diagonal coordinates; the last does not
+    assert quotient_invariants(sup, sup).is_trivial and not calls
+    six = Sublattice.from_matrix(sup.basis.scale(6))
+    assert quotient_invariants(sup, six).invariant_factors == (6, 6) and not calls
+    mixed = Sublattice.from_matrix(sup.basis @ Mat.from_rows([[2, 1], [0, 2]]))
+    assert quotient_invariants(sup, mixed).invariant_factors == (4,) and len(calls) == 1
+
+
 def test_sublattice_canonical_rejects_noncanonical():
     for columns, message in (([[1, 0], [0, 0]], "zero basis column"),
                              ([[-1, 0]], "negative pivot"),
