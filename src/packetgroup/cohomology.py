@@ -62,12 +62,14 @@ def _columns_in(m: Mat, lattice: Sublattice) -> bool:
 class _FiniteModule:
     """Finite abelian group Z^k/R with the endomorphisms named in ACTIONS.
 
-    The relation lattice R must have full rank k (the group is finite),
-    each action must descend to the quotient and act invertibly there,
-    the subclass's q must be a prime power and the group order must be
-    prime to it.  Actions are stored reduced modulo the group exponent, so
-    equal actions have equal presentations.  Every subclass has a Frobenius
-    action phi; the lattices behind its H^0 and H^1 are kept once built.
+    The relation lattice R must have full rank k (the group is finite).
+    Each action must send R into R and act invertibly on Z^k/R, that is be
+    onto, as the group is finite: its columns and R span Z^k (Cohen, GTM
+    138, section 2.4).  The subclass's q must be a prime power and the
+    group order must be prime to it.  Actions are stored reduced modulo the
+    group exponent, so equal actions have equal presentations.  Every
+    subclass has a Frobenius action phi; the lattices behind its H^0 and
+    H^1 are kept once built.
     """
 
     ACTIONS: ClassVar[tuple[str, ...]] = ()
@@ -89,12 +91,11 @@ class _FiniteModule:
         for name in self.ACTIONS:
             mat = _reduce_mat_mod(getattr(self, name), self.exponent)
             object.__setattr__(self, name, mat)
-            # the preimage of R holds R iff mat preserves R, and is R
-            # itself iff mat is also injective, so invertible, on Z^k/R
-            pre = preimage_lattice(mat, r, modulus=self.exponent)
-            if not pre.contains(r):
+            if not _columns_in(mat @ r.basis, r):
                 raise ModuleError(f"{name} does not preserve the relation lattice")
-            if pre != r:
+            # on the finite group Z^k/R, mat is bijective iff it is onto,
+            # that is iff its columns and R span Z^k
+            if not r.join(mat, modulus=self.exponent).is_full:
                 raise ModuleError(f"{name} is not invertible on the module")
 
     def _check_scalars(self) -> None:

@@ -12,11 +12,12 @@ lattice T (`_hermite_block`; Cohen, GTM 138, section 2.4), kept in a
 `HermiteBlock`: the bottoms of its columns whose top vanished span
 {x : m @ x in T} (`preimage_lattice`, so `kernel_lattice`, `preimage_mod`
 and `meet`), and its other columns solve m @ X - B in T for every B
-(`solve_modulo`, so `solve_columns`).  A lattice
-known to contain D * Z^k is spanned modulo D (`modulus=D`: 0 for kernels,
-n for a congruence mod n, the exponent for a finite module), exact since
-each reduction moves a row by a vector of the lattice; each D * e_c is
-met when column c is reached (Cohen, Alg. 2.4.8).  I_n and Z^n are built
+(`solve_modulo`, so `solve_columns`).  A lattice known to contain D * Z^k
+is spanned modulo D (`modulus=D`: 0 for kernels, n for a congruence mod n,
+the exponent for a finite module), exact since each reduction moves a row
+by a vector of the lattice; each D * e_c is met when column c is reached
+(Cohen, Alg. 2.4.8).  A `Mat` or `Sublattice` is checked and filled in one
+step, storing any rows or columns it was handed; I_n and Z^n are built
 once per n and shared, as every value here is frozen.  The Smith form
 serves only where the Hermite form does not give the answer:
 `quotient_invariants` reads its diagonal, when the coordinate matrix is not
@@ -30,7 +31,7 @@ scaled by N.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm, prod
 from operator import mul, sub
@@ -82,11 +83,17 @@ class cached_attribute:
         return value
 
 
-@dataclass(frozen=True)
+def _seeded(obj, **caches):
+    """Store in `obj` the cached attributes its constructor already holds."""
+    vars(obj).update(caches)
+    return obj
+
+
+@dataclass(frozen=True, init=False)
 class Mat:
     """Immutable integer matrix, row-major entries.
 
-    The rows and columns are sliced out once per instance and kept;
+    Rows and columns are kept once sliced out or handed to a constructor;
     equality and hashing still see only rows, cols and entries.
     """
 
@@ -94,14 +101,15 @@ class Mat:
     cols: int
     entries: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise LatticeError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise LatticeError("entry count does not match dimensions")
         # every entry's type is int itself: bools and floats are rejected
-        if list(map(type, self.entries)).count(int) != len(self.entries):
+        if list(map(type, entries)).count(int) != len(entries):
             raise LatticeError("entries must be integers")
+        self.__dict__.update(rows=rows, cols=cols, entries=entries)
 
     @cached_attribute
     def _columns(self) -> tuple[tuple[int, ...], ...]:
@@ -114,29 +122,30 @@ class Mat:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "Mat":
-        rows = [list(r) for r in rows]
+        rows = tuple(map(tuple, rows))
         if rows:
             width = len(rows[0])
-            if any(len(r) != width for r in rows):
+            if list(map(len, rows)).count(width) != len(rows):
                 raise LatticeError("ragged rows")
             if cols is not None and cols != width:
                 raise LatticeError("row length differs from the given column count")
         else:
             width = 0 if cols is None else cols
-        return cls(len(rows), width, tuple(chain.from_iterable(rows)))
+        return _seeded(cls(len(rows), width, tuple(chain.from_iterable(rows))), _rows=rows)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "Mat":
-        columns = [list(c) for c in columns]
+        columns = tuple(map(tuple, columns))
         if columns:
             height = len(columns[0])
-            if any(len(c) != height for c in columns):
+            if list(map(len, columns)).count(height) != len(columns):
                 raise LatticeError("ragged columns")
             if rows is not None and rows != height:
                 raise LatticeError("column length differs from the given row count")
         else:
             height = 0 if rows is None else rows
-        return cls(height, len(columns), tuple(chain.from_iterable(zip(*columns))))
+        return _seeded(cls(height, len(columns), tuple(chain.from_iterable(zip(*columns)))),
+                       _columns=columns)
 
     @classmethod
     @lru_cache(maxsize=64)
@@ -171,7 +180,8 @@ class Mat:
         return list(self._columns)
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, tuple(chain.from_iterable(self._columns)))
+        return _seeded(Mat(self.cols, self.rows, tuple(chain.from_iterable(self._columns))),
+                       _rows=self._columns, _columns=self._rows)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
@@ -441,7 +451,9 @@ def _hermite_block(m: Mat, target: "Sublattice", modulus: int) -> tuple[list, li
     block = list(map(tuple.__add__, m._columns, Mat.identity(k)._columns))
     block += [c + (0,) * k for c in target.basis._columns]
     hnf = _row_hnf(block, top + k, modulus)
-    return [c for c in hnf if any(c[:top])], [c[top:] for c in hnf if not any(c[:top])]
+    # pivots increase, so the columns with a nonzero top come first
+    split = next((i for i, c in enumerate(hnf) if not any(c[:top])), len(hnf))
+    return hnf[:split], [c[top:] for c in hnf[split:]]
 
 
 class HermiteBlock:
@@ -476,10 +488,10 @@ class HermiteBlock:
         coords = [span.coords_of(t) for t in b._columns]
         if None in coords:
             return None
-        x = w @ Mat.from_columns(coords, rows=span.rank)
+        x = Mat.from_columns([w.apply(c) for c in coords], rows=self.m.cols)
         if __debug__:
-            assert all(map(self.target.contains_vector, (self.m @ x - b)._columns)), \
-                "solve failed to verify"
+            assert all(self.target.contains_vector(tuple(map(sub, self.m.apply(c), t)))
+                       for c, t in zip(x._columns, b._columns)), "solve failed to verify"
         return x
 
 
@@ -494,7 +506,7 @@ def solve_columns(b: Mat, target: Mat) -> Optional[Mat]:
     return solve_modulo(b, target, Sublattice.zero(b.rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sublattice:
     """A sublattice of Z^ambient_rank in canonical column HNF basis.
 
@@ -506,14 +518,14 @@ class Sublattice:
     basis: Mat
     _pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        b = self.basis
-        if b.rows != self.ambient_rank:
+    def __init__(self, ambient_rank: int, basis: Mat) -> None:
+        if basis.rows != ambient_rank:
             raise LatticeError("basis height differs from ambient rank")
-        if b.cols > self.ambient_rank:
+        if basis.cols > ambient_rank:
             raise LatticeError("more basis vectors than ambient rank")
+        columns = basis._columns
         pivots = []
-        for col in b._columns:
+        for col in columns:
             x = next(filter(None, col), 0)
             if not x:
                 raise LatticeError("zero basis column")
@@ -522,12 +534,13 @@ class Sublattice:
             pivots.append(col.index(x))
         if any(p2 <= p1 for p1, p2 in zip(pivots, pivots[1:])):
             raise LatticeError("pivot rows not strictly increasing")
+        # a later column is zero in this pivot row, so only the earlier ones are read
         for j, p in enumerate(pivots):
-            row = b._rows[p]
-            others = row[:j] + row[j + 1:]
-            if others and not (min(others) >= 0 and max(others) < row[j]):
-                raise LatticeError("pivot row not reduced")
-        object.__setattr__(self, "_pivots", tuple(pivots))
+            x = columns[j][p]
+            for left in columns[:j]:
+                if not 0 <= left[p] < x:
+                    raise LatticeError("pivot row not reduced")
+        self.__dict__.update(ambient_rank=ambient_rank, basis=basis, _pivots=tuple(pivots))
 
     @classmethod
     def from_columns(cls, ambient_rank: int, columns: Iterable[Sequence[int]], *,
@@ -585,8 +598,9 @@ class Sublattice:
                 return None
             coords.append(q)
             if q:
-                # a basis column is zero above its pivot
-                x[p:] = [xi - q * ci for xi, ci in zip(x[p:], col[p:])]
+                for i, c in enumerate(col):
+                    if c:
+                        x[i] -= q * c
         if any(x):
             return None
         return tuple(coords)
@@ -678,7 +692,11 @@ def preimage_mod(m: Mat, n: int) -> Sublattice:
 
 def fixed_point_conditions(mats: Iterable[Mat], k: int) -> Mat:
     """Every a - 1 stacked: x is fixed by all of mats iff the stack kills x."""
-    return reduce(Mat.vstack, [a - Mat.identity(k) for a in mats], Mat.zeros(0, k))
+    ident, mats = Mat.identity(k).entries, list(mats)
+    if any((a.rows, a.cols) != (k, k) for a in mats):
+        raise LatticeError("shape mismatch in sum")
+    stack = chain.from_iterable(map(sub, a.entries, ident) for a in mats)
+    return Mat(k * len(mats), k, tuple(stack))
 
 
 @dataclass(frozen=True)
@@ -753,7 +771,7 @@ def restrict_endomorphism(a: Mat, lattice: Sublattice) -> Mat:
     """Matrix of a|_lattice in the lattice basis; requires a @ L <= L."""
     if a.cols != lattice.ambient_rank or a.rows != lattice.ambient_rank:
         raise AmbientMismatch("endomorphism shape differs from ambient rank")
-    coords = [lattice.coords_of(c) for c in (a @ lattice.basis)._columns]
+    coords = [lattice.coords_of(a.apply(c)) for c in lattice.basis._columns]
     if None in coords:
         raise LatticeError("lattice is not stable under the endomorphism")
     return Mat.from_columns(coords, rows=lattice.rank)

@@ -5,6 +5,8 @@ from itertools import product
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from packetgroup.cohomology import (ExactnessError, FrobModule, ModuleError,
                                     NotInH0, ShortExactSequence, TameModule,
@@ -74,6 +76,33 @@ KILL_SECOND = Mat.from_rows([[1, 0], [0, 5]])  # preserves 5 Z^2, not invertible
 def test_module_action_errors(build, message):
     with pytest.raises(ModuleError, match=f"^{message}$"):
         build()
+
+
+@given(st.integers(0, 4), st.booleans(), st.data())
+@settings(deadline=None, max_examples=200)
+def test_action_check_matches_the_preimage_criterion(k, preserving, data):
+    # the module checks mat @ R in R, then R + mat @ Z^k = Z^k; the
+    # criterion it replaced read the preimage of R: it holds R, then is R
+    square = st.lists(st.integers(-3, 3), min_size=k * k, max_size=k * k).map(
+        lambda cells: Mat(k, k, tuple(cells)))
+    rel = Sublattice.from_matrix(data.draw(square.filter(lambda m: m.det() != 0)))
+    mat = data.draw(square)
+    if preserving:
+        # c + (a map into R) preserves R, and is invertible iff c is a unit mod the exponent
+        mat = Mat.identity(k).scale(data.draw(st.integers(-4, 4))) + rel.basis @ mat
+    pre = preimage_lattice(mat, rel)
+    if not pre.contains(rel):
+        message = "phi does not preserve the relation lattice"
+    elif pre != rel:
+        message = "phi is not invertible on the module"
+    else:
+        message = None
+    q = 10007  # a prime beyond every |det| of a 4 x 4 matrix with entries in -3..3
+    if message is None:
+        assert FrobModule(rel, mat, q).relations == rel
+    else:
+        with pytest.raises(ModuleError, match=f"^{message}$"):
+            FrobModule(rel, mat, q)
 
 
 def test_tate_twist_examples():

@@ -242,6 +242,97 @@ def test_sublattice_canonical_rejects_noncanonical():
             Sublattice(2, Mat.from_columns(columns, rows=2))
 
 
+def reference_canonical_error(rank, columns):
+    """The canonical-form predicate `Sublattice` checked by reading whole
+    pivot rows, kept here as written then: its message, or None."""
+    if len(columns) > rank:
+        return "more basis vectors than ambient rank"
+    pivots = []
+    for col in columns:
+        x = next(filter(None, col), 0)
+        if not x:
+            return "zero basis column"
+        if x < 0:
+            return "negative pivot"
+        pivots.append(col.index(x))
+    if any(p2 <= p1 for p1, p2 in zip(pivots, pivots[1:])):
+        return "pivot rows not strictly increasing"
+    rows = list(zip(*columns))
+    for j, p in enumerate(pivots):
+        row = rows[p]
+        others = row[:j] + row[j + 1:]
+        if others and not (min(others) >= 0 and max(others) < row[j]):
+            return "pivot row not reduced"
+    return None
+
+
+def test_sublattice_check_matches_the_whole_row_predicate():
+    # the constructor reads each pivot row only left of the pivot
+    seen = set()
+    for rank, count in ((2, 1), (2, 2), (3, 2)):
+        for cells in product(range(-2, 3), repeat=rank * count):
+            columns = [cells[j * rank:(j + 1) * rank] for j in range(count)]
+            want = reference_canonical_error(rank, columns)
+            seen.add(want)
+            try:
+                got = Sublattice(rank, Mat.from_columns(columns, rows=rank))
+            except LatticeError as ex:
+                assert str(ex) == want, (columns, ex)
+            else:
+                assert want is None and got.basis.columns() == columns
+    assert len(seen) == 5
+
+
+def test_constructors_keep_their_checks_and_stay_frozen():
+    for args, message in (((-1, 0, ()), "negative dimensions"),
+                          ((0, -2, ()), "negative dimensions"),
+                          ((2, 2, (1, 2, 3)), "entry count does not match dimensions"),
+                          ((1, 2, (1, True)), "entries must be integers"),
+                          ((1, 2, (1, 2.0)), "entries must be integers")):
+        with pytest.raises(LatticeError, match=f"^{message}$"):
+            Mat(*args)
+    m = Mat.from_rows([[1, 2], [0, 3]])
+    lat = Sublattice.from_columns(2, [[2, 1], [0, 3]])
+    for obj, name, value in ((m, "rows", 3), (m, "_rows", ()), (lat, "basis", m),
+                             (lat, "_pivots", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, value)
+    # replace builds through the constructor, so every check runs again
+    with pytest.raises(LatticeError, match="^entry count does not match dimensions$"):
+        dataclasses.replace(m, entries=(1, 2, 3))
+    with pytest.raises(LatticeError, match="^pivot row not reduced$"):
+        dataclasses.replace(lat, basis=Mat.from_rows([[2, 0], [3, 3]]))
+    copy = dataclasses.replace(lat, basis=Mat.from_rows([[2, 0], [1, 3]]))
+    assert copy == lat and copy._pivots == lat._pivots == (0, 1)
+    assert dataclasses.replace(m, rows=2) == m and "_rows" not in vars(dataclasses.replace(m))
+
+
+def sliced(m):
+    """The columns and rows of `m` sliced out of its entries."""
+    e, c = m.entries, m.cols
+    return (tuple(e[j::c] for j in range(c)),
+            tuple(e[i * c:(i + 1) * c] for i in range(m.rows)))
+
+
+@given(shaped())
+@example(Mat.zeros(0, 3))
+@example(Mat.zeros(3, 0))
+@example(Mat.zeros(0, 0))
+@settings(deadline=None)
+def test_seeded_rows_and_columns_are_the_slices(m):
+    columns, rows = sliced(m)
+    by_columns = Mat.from_columns(columns, rows=m.rows)
+    by_rows = Mat.from_rows(rows, cols=m.cols)
+    flipped = m.transpose()
+    assert by_columns == by_rows == m and vars(by_columns)["_columns"] == columns
+    assert vars(by_rows)["_rows"] == rows
+    assert vars(flipped)["_columns"] == rows and vars(flipped)["_rows"] == columns
+    assert sliced(flipped) == (rows, columns)
+    # lists come in as well as tuples; what is stored is tuples
+    assert Mat.from_columns([list(c) for c in columns], rows=m.rows)._columns == columns
+    assert Mat.from_rows([list(r) for r in rows], cols=m.cols)._rows == rows
+
+
 def test_row_and_col_reject_indices_outside_the_shape():
     m = Mat.from_rows([[1, 2], [3, 4]])
     assert (m.row(0), m.row(1), m.col(0), m.col(1)) == ((1, 2), (3, 4), (1, 3), (2, 4))
@@ -265,7 +356,8 @@ def test_row_and_col_reject_indices_outside_the_shape():
 
 
 def test_column_cache_is_invisible_to_equality():
-    m, fresh = Mat.from_rows([[1, 2, 3], [4, 5, 6]]), Mat.from_rows([[1, 2, 3], [4, 5, 6]])
+    # from_rows stores the rows it was given; the bare constructor stores no cache
+    m, fresh = Mat.from_rows([[1, 2, 3], [4, 5, 6]]), Mat(2, 3, (1, 2, 3, 4, 5, 6))
     assert m.columns() == [(1, 4), (2, 5), (3, 6)] and m.col(2) == (3, 6)
     assert "_columns" in vars(m) and "_columns" not in vars(fresh)
     assert m.to_rows() == [[1, 2, 3], [4, 5, 6]] and m._rows == ((1, 2, 3), (4, 5, 6))
