@@ -271,7 +271,9 @@ def _row_hnf(rows: Iterable[Sequence[int]], width: int, modulus: int = 0) -> lis
     come back.  The reduction is exact: it leaves the entries at reached
     columns as they are, so a row moves only by multiples of D * e_j for
     unreached j, which are still to be met, the span stays the same and
-    no entry outgrows D.
+    no entry outgrows D.  The meet skips what it knows: with g = 1 the
+    second row is D * row, zero modulo D, so it is not formed; with s = 1
+    the pivot row stays as it is, since its entries already lie in [0, D).
     """
     if modulus < 0:
         raise LatticeError("modulus must be >= 0")
@@ -312,10 +314,12 @@ def _row_hnf(rows: Iterable[Sequence[int]], width: int, modulus: int = 0) -> lis
             work[r], work[i] = row_r, row_i
         if modulus:
             g, s, _ = xgcd(work[r][c], modulus)
-            rest = [-(modulus // g) * x % modulus for x in work[r]]
-            work[r] = [s * x % modulus for x in work[r]]
-            if any(rest):
-                work.append(rest)
+            if g > 1:
+                rest = [-(modulus // g) * x % modulus for x in work[r]]
+                if any(rest):
+                    work.append(rest)
+            if s != 1:
+                work[r] = [s * x % modulus for x in work[r]]
         elif work[r][c] < 0:
             work[r] = [-x for x in work[r]]
         p = work[r][c]
@@ -349,11 +353,23 @@ def smith(m: Mat) -> SmithDecomposition:
     Returns d (positive divisibility chain, zeros omitted), U (rows x rows)
     and V (cols x cols) with U @ m @ V diagonal, entry i equal to d[i] for
     i < len(d) and 0 beyond.
+
+    Steps whose result is known are skipped; d, U and V are what the full
+    steps give.  The pivot is the first entry of least absolute value in
+    row-major order: nothing is smaller than a +-1 and a later equal entry
+    does not displace it, so the scan stops after the first row holding
+    one.  Subtracting a multiple of the pivot row or column leaves that row
+    or column as it is, so it is not rebuilt.  The row steps clear the
+    pivot column below the pivot and only a gcd column step refills it;
+    until one does, a column step changes only the pivot row of the
+    working matrix, and the column needs no second look.  A +-1 pivot
+    divides every entry, so it needs no stray-entry search.  The
+    `__debug__` check forms U @ m @ V on row lists.
     """
     nr, nc = m.rows, m.cols
     a = m.to_rows()
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
-    v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+    u = list(map(list, Mat.identity(nr)._rows))
+    v = list(map(list, Mat.identity(nc)._rows))
 
     def row_combine(i1, i2, s, t, p, q):
         # rows (i1, i2) <- (s*i1 + t*i2, p*i1 + q*i2), applied to a and u
@@ -372,15 +388,18 @@ def smith(m: Mat) -> SmithDecomposition:
     t0 = 0
     while t0 < min(nr, nc):
         # pick a pivot of minimal absolute value in the trailing block
-        best = None
+        best, least = None, 0
         for i in range(t0, nr):
+            row = a[i]
             for j in range(t0, nc):
-                x = a[i][j]
-                if x and (best is None or abs(x) < abs(best[2])):
-                    best = (i, j, x)
+                x = abs(row[j])
+                if x and (not least or x < least):
+                    best, least = (i, j), x
+            if least == 1:
+                break
         if best is None:
             break
-        bi, bj, _ = best
+        bi, bj = best
         if bi != t0:
             a[t0], a[bi] = a[bi], a[t0]
             u[t0], u[bi] = u[bi], u[t0]
@@ -394,8 +413,9 @@ def smith(m: Mat) -> SmithDecomposition:
                 if b:
                     p = a[t0][t0]
                     if b % p == 0:
-                        # elementary step keeps the pivot row untouched
-                        row_combine(t0, i, 1, 0, -(b // p), 1)
+                        q = b // p
+                        for mat in (a, u):
+                            mat[i] = [y - q * x for x, y in zip(mat[t0], mat[i])]
                     else:
                         g, s, t = xgcd(p, b)
                         row_combine(t0, i, s, t, -(b // g), p // g)
@@ -405,14 +425,18 @@ def smith(m: Mat) -> SmithDecomposition:
                 if b:
                     p = a[t0][t0]
                     if b % p == 0:
-                        col_combine(t0, j, 1, 0, -(b // p), 1)
+                        q = b // p
+                        for row in chain(a[t0:] if dirty else (a[t0],), v):
+                            row[j] -= q * row[t0]
                     else:
                         g, s, t = xgcd(p, b)
                         col_combine(t0, j, s, t, -(b // g), p // g)
                         dirty = True
-            if dirty or any(a[i][t0] for i in range(t0 + 1, nr)):
+            if dirty:
                 continue
             p = a[t0][t0]
+            if abs(p) == 1:
+                break
             stray = next(((i, j) for i in range(t0 + 1, nr)
                           for j in range(t0 + 1, nc) if a[i][j] % p), None)
             if stray is None:
@@ -423,19 +447,21 @@ def smith(m: Mat) -> SmithDecomposition:
             u[t0] = [x + y for x, y in zip(u[t0], u[i])]
         t0 += 1
 
-    for i in range(min(nr, nc)):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-            u[i] = [-x for x in u[i]]
-    d = tuple(a[i][i] for i in range(min(nr, nc)) if a[i][i])
-    dec = SmithDecomposition(d, Mat(nr, nr, tuple(chain.from_iterable(u))),
-                             Mat(nc, nc, tuple(chain.from_iterable(v))))
+    diag = [a[i][i] for i in range(min(nr, nc))]
+    for i, x in enumerate(diag):
+        if x < 0:
+            u[i] = [-y for y in u[i]]
+    d = tuple(abs(x) for x in diag if x)
     if __debug__:
+        um = [[sum(map(mul, r, c)) for c in m._columns] for r in u]
+        v_columns = list(zip(*v))
         want = [0] * (nr * nc)
         for i, x in enumerate(d):
             want[i * nc + i] = x
-        assert (dec.U @ m @ dec.V).entries == tuple(want), "smith decomposition failed to verify"
-    return dec
+        assert [sum(map(mul, r, c)) for r in um for c in v_columns] == want, \
+            "smith decomposition failed to verify"
+    return SmithDecomposition(d, Mat(nr, nr, tuple(chain.from_iterable(u))),
+                              Mat(nc, nc, tuple(chain.from_iterable(v))))
 
 
 def _hermite_block(m: Mat, target: "Sublattice", modulus: int) -> tuple[list, list]:
@@ -665,13 +691,14 @@ def congruence_lattice(w: Mat, d: Sequence[int], n: int) -> Sublattice:
 
     The condition on x = V @ y is d_i * y_i == 0 mod n, so the lattice is
     spanned by the columns w_i * n / gcd(d_i, n), the free columns past
-    len(d) and n * Z^(w.rows) (Cohen, GTM 138, section 2.4).
+    len(d) and n * Z^(w.rows) (Cohen, GTM 138, section 2.4).  A column with
+    gcd(d_i, n) = 1 is left out: scaled by n it lies in n * Z^(w.rows).
     """
     if n < 1:
         raise LatticeError("modulus must be >= 1")
-    cols = [[(n // gcd(d[j], n) if j < len(d) else 1) * x for x in col]
-            for j, col in enumerate(w._columns)]
-    return Sublattice.from_columns(w.rows, cols, modulus=n)
+    cols = [[n // g * x for x in col] for x_d, col in zip(d, w._columns)
+            if (g := gcd(x_d, n)) > 1]
+    return Sublattice.from_columns(w.rows, cols + list(w._columns[len(d):]), modulus=n)
 
 
 def kernel_lattice(m: Mat) -> Sublattice:

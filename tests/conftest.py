@@ -7,7 +7,7 @@ import pytest
 
 from packetgroup.datum import (CoverDatum, RamificationGcdError, conjugated_config,
                                validate)
-from packetgroup.linalg import Mat
+from packetgroup.linalg import Mat, fixed_point_conditions
 from packetgroup.randomgen import (invariant_q_upper, random_config,
                                    random_signed_permutation, random_unimodular)
 
@@ -89,6 +89,14 @@ def permutation_group_config(family: str, r: int) -> dict:
         gens.append(perm(list(range(r)), [-1] + [1] * (r - 1)))
     return {"rank": r, "inertia_gens": gens, "frobenius": cycle,
             "q": 23, "n": 11, "Q_upper": perm(list(range(r)))}
+
+
+def twisted_stack(config: dict) -> Mat:
+    """Each inertia generator and q times Frobenius, minus I, stacked: the
+    twisted fixed-point conditions on the whole of Z^rank."""
+    mats = [Mat.from_rows(g) for g in config["inertia_gens"]]
+    mats.append(Mat.from_rows(config["frobenius"]).scale(config["q"]))
+    return fixed_point_conditions(mats, config["rank"])
 
 
 def direct_sum(configs):

@@ -1,14 +1,17 @@
 import dataclasses
+import json
 import random
 import time
 from fractions import Fraction
 from itertools import product
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import permutation_group_config, twisted_stack
 from packetgroup.linalg import (AmbientMismatch, FinAbGroup, InfiniteQuotient,
                                 LatticeError, Mat, NotASublattice, Sublattice,
                                 _row_hnf, column_hnf, congruence_lattice, fixed_point_conditions,
@@ -412,14 +415,29 @@ def test_lazy_meet_edge_shapes():
     check_lazy_meet([[-(2 ** 205) + 3, 7, 2 ** 201], [5, -(2 ** 210), 1]], 3, big)
 
 
-@given(st.integers(0, 5), moduli, st.data())
-@settings(deadline=None, max_examples=150)
-def test_lazy_meet_matches_the_exact_span_with_the_torsion(w, d, data):
-    # half the draws scale every row by D, so all of them vanish modulo D
-    scale = data.draw(st.sampled_from((1, d)))
+@st.composite
+def torsion_spans(draw):
+    """(rows, w, D); half the draws scale every row by D, so all of them
+    vanish modulo D."""
+    w, d = draw(st.integers(0, 5)), draw(moduli)
+    scale = draw(st.sampled_from((1, d)))
     element = st.one_of(entries, st.integers(-2 ** 210, 2 ** 210)).map(lambda x: scale * x)
-    rows = data.draw(st.lists(st.lists(element, min_size=w, max_size=w), max_size=w + 3))
-    check_lazy_meet(rows, w, d)
+    return draw(st.lists(st.lists(element, min_size=w, max_size=w), max_size=w + 3)), w, d
+
+
+@given(torsion_spans())
+# the meet of a pivot entry a with D, (g, s) = xgcd(a, D) without t: g = 1 and
+# s != 1 (3 against 4, 5 against 12), g = s = 1 (1 against 4), g > 1 with a
+# nonzero extra row (2 against 4) and with a zero one ((2, 2) against 4), D = 1
+@example(([[3, 1]], 2, 4))
+@example(([[5, 7, 2]], 3, 12))
+@example(([[1, 3], [2, 2]], 2, 4))
+@example(([[2, 1]], 2, 4))
+@example(([[2, 2]], 2, 4))
+@example(([[3, -4], [5, 9]], 2, 1))
+@settings(deadline=None, max_examples=150)
+def test_lazy_meet_matches_the_exact_span_with_the_torsion(case):
+    check_lazy_meet(*case)
 
 
 @given(st.integers(1, 3), st.integers(0, 3), moduli, st.data())
@@ -523,7 +541,18 @@ def test_index_in_ambient_examples():
     assert Sublattice.from_columns(2, [[2, 1]]).index_in_ambient() is None
 
 
+# a -1 pivot tied with later +-1 entries: the scan keeps the first in row order
+MINUS_ONE_PIVOT = Mat.from_rows([[3, -1, 1], [1, 2, -1], [-1, 1, 5]])
+# B_3's generators and 23 times the 3-cycle, each minus I, stacked: 12 x 3
+B3_STACK = twisted_stack(permutation_group_config("B", 3))
+# the pivot 2 divides no entry of the trailing block, so a stray row is folded in
+STRAY_FOLD = Mat.from_rows([[2, 0], [0, 3]])
+
+
 @given(matrices())
+@example(MINUS_ONE_PIVOT)
+@example(B3_STACK)
+@example(STRAY_FOLD)
 @settings(deadline=None)
 def test_snf_decomposition(m):
     dec = smith(m)
@@ -535,6 +564,20 @@ def test_snf_decomposition(m):
     assert abs(dec.U.det()) == 1 and abs(dec.V.det()) == 1
     assert all(dec.d[i + 1] % dec.d[i] == 0 for i in range(len(dec.d) - 1))
     assert all(x > 0 for x in dec.d)
+
+
+SMITH_PINS = json.loads((Path(__file__).parent / "smith_pins.json").read_text())
+
+
+@pytest.mark.parametrize("pin", SMITH_PINS, ids=[pin["name"] for pin in SMITH_PINS])
+def test_smith_transforms_are_pinned(pin):
+    # d, U and V as the elimination without shortcuts gives them, on two
+    # seed-0 rank_ladder twisted conditions at r = 8 (one of them the widest
+    # transforms of that pass), a tall stack and small cases; residue reads
+    # V, so a shortcut must keep the transforms, not only the Smith form
+    dec = smith(Mat.from_rows(pin["rows"], cols=pin["cols"]))
+    assert list(dec.d) == pin["d"]
+    assert list(dec.U.entries) == pin["U"] and list(dec.V.entries) == pin["V"]
 
 
 @given(matrices(max_dim=3), st.data())
@@ -575,6 +618,10 @@ def test_preimage_mod_membership(m, n):
 @example(Mat.zeros(0, 3), 2 ** 70 + 3)
 @example(Mat.zeros(3, 0), 12)
 @example(Mat.from_rows([[6, 0], [0, 4]]), 2 ** 70 + 3)
+# d = (1, 2, 12) and a free column against n = 6: a d_j coprime to n, whose
+# column is left out, one sharing a factor with n and one divisible by n
+@example(Mat.from_rows([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 12, 0]]), 6)
+@example(Mat.from_rows([[1, 0, 0], [0, 6, 0]]), 1)
 @settings(deadline=None, max_examples=200)
 def test_preimage_mod_matches_the_smith_route(m, n):
     # the block [m; I] spanned modulo n against the congruence read off the

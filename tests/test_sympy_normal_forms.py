@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_form  # noqa: E402
 
+from conftest import permutation_group_config, twisted_stack  # noqa: E402
 from packetgroup.linalg import (Mat, Sublattice, column_hnf, congruence_lattice,  # noqa: E402
                                 kernel_lattice, preimage_mod, quotient_invariants, smith)
 
@@ -90,6 +91,11 @@ def test_modular_span_matches_sympy(m, d):
 
 
 @given(structured_matrices())
+# a -1 pivot tied with later +-1 entries, a tall stack of twisted conditions
+# and a non-unit pivot that needs the stray-entry fold
+@example(Mat.from_rows([[3, -1, 1], [1, 2, -1], [-1, 1, 5]]))
+@example(twisted_stack(permutation_group_config("B", 3)))
+@example(Mat.from_rows([[2, 0], [0, 3]]))
 @settings(deadline=None, max_examples=40)
 def test_smith_matches_sympy(m):
     assert smith(m).d == _sympy_factors(m)
